@@ -1,31 +1,20 @@
-"""Command-line surface: encode, decode, rd-curve, and bench.
+"""Command-line surface: encode, decode and rd-curve.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags, malformed
-TRITSTREAM_THREADS), 2 for data problems (unreadable or malformed files,
-budgets below the header, internal equality-gate failures).
+Exit codes: 0 on success, 1 for usage problems (bad flags), 2 for data
+problems (unreadable or malformed files, budgets below the header).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import platform
 import sys
-import time
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import __version__
 from .codec import decode, encode_result, rd_trace, truncate
 from .errors import TritstreamError
 from .formats import read_lten, write_lflt
-from .gaussian import build_model_bank
-from .reduction import Shape
-from .slicing import slice_latent
-from .synth import SynthConfig, generate
 
-__all__ = ["main", "BenchReport"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,14 +23,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _shape_arg(text: str) -> Shape:
-    try:
-        c, h, w = (int(part) for part in text.split(","))
-        return Shape(c, h, w)
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
 def _bases_arg(text: str) -> tuple[int, ...]:
@@ -100,104 +81,6 @@ def _cmd_rd_curve(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class BenchReport:
-    """Wall times for the two priority paths on one synthetic tensor."""
-
-    shape: Shape
-    base: int
-    repeat: int
-    slice_s: float
-    priority_naive_s: float
-    priority_vectorized_s: float
-    entropy_s: float
-    encode_total_s: float
-    decode_total_s: float
-    speedup_encode: float
-    speedup_decode: float
-    machine: str
-
-    def rows(self) -> list[tuple[str, str]]:
-        return [
-            ("shape", "x".join(str(d) for d in self.shape.astuple())),
-            ("base", str(self.base)),
-            ("repeat", str(self.repeat)),
-            ("slice_s", f"{self.slice_s:.6f}"),
-            ("priority_naive_s", f"{self.priority_naive_s:.6f}"),
-            ("priority_vectorized_s", f"{self.priority_vectorized_s:.6f}"),
-            ("entropy_s", f"{self.entropy_s:.6f}"),
-            ("encode_total_s", f"{self.encode_total_s:.6f}"),
-            ("decode_total_s", f"{self.decode_total_s:.6f}"),
-            ("speedup_encode", f"{self.speedup_encode:.2f}"),
-            ("speedup_decode", f"{self.speedup_decode:.2f}"),
-            ("machine", self.machine),
-        ]
-
-
-def _cmd_bench(args) -> int:
-    values, sigmas = generate(SynthConfig(shape=args.shape, seed=args.seed))
-    bank = build_model_bank(sigmas.astype(np.float64).ravel(), args.base)
-
-    slice_s = min_enc = min_dec = float("inf")
-    prio = {"naive": float("inf"), "vectorized": float("inf")}
-    prio_dec = {"naive": float("inf"), "vectorized": float("inf")}
-    entropy_s = float("inf")
-    outputs = {}
-    for _ in range(args.repeat):
-        t0 = time.perf_counter()
-        slice_latent(values, bank)
-        slice_s = min(slice_s, time.perf_counter() - t0)
-        for impl in ("naive", "vectorized"):
-            perf: dict[str, float] = {}
-            t0 = time.perf_counter()
-            result = encode_result(values, sigmas, base=args.base,
-                                   priority_impl=impl, perf=perf)
-            enc_total = time.perf_counter() - t0
-            enc_prio = perf["priority_s"]
-            perf = {}
-            t0 = time.perf_counter()
-            recon = decode(result.stream, priority_impl=impl, perf=perf)
-            dec_total = time.perf_counter() - t0
-            prio[impl] = min(prio[impl], enc_prio)
-            prio_dec[impl] = min(prio_dec[impl], perf["priority_s"])
-            outputs[impl] = (result.stream, recon.values)
-            if impl == "vectorized":
-                min_enc = min(min_enc, enc_total)
-                min_dec = min(min_dec, dec_total)
-                entropy_s = min(entropy_s, perf.get("entropy_s", 0.0))
-
-    same_stream = outputs["naive"][0] == outputs["vectorized"][0]
-    same_values = np.array_equal(outputs["naive"][1], outputs["vectorized"][1])
-    if not (same_stream and same_values):
-        print("error: naive and vectorized paths disagree; timings withheld",
-              file=sys.stderr)
-        return 2
-
-    report = BenchReport(
-        shape=args.shape,
-        base=args.base,
-        repeat=args.repeat,
-        slice_s=slice_s,
-        priority_naive_s=prio["naive"] + prio_dec["naive"],
-        priority_vectorized_s=prio["vectorized"] + prio_dec["vectorized"],
-        entropy_s=entropy_s,
-        encode_total_s=min_enc,
-        decode_total_s=min_dec,
-        speedup_encode=prio["naive"] / prio["vectorized"],
-        speedup_decode=prio_dec["naive"] / prio_dec["vectorized"],
-        machine=f"{platform.platform()} python-{platform.python_version()}",
-    )
-    width = max(len(name) for name, _ in report.rows())
-    for name, value in report.rows():
-        print(f"{name:<{width}}  {value}")
-    if args.csv is not None:
-        lines = ["metric,value"]
-        lines.extend(f"{name},{value}" for name, value in report.rows())
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return 0
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tritstream",
                      description="Progressive coding of Gaussian integer latents.")
@@ -225,34 +108,11 @@ def _build_parser() -> _Parser:
     curve.add_argument("--sigma-mode", type=int, choices=(0, 1), default=1)
     curve.add_argument("--group", type=int, default=256)
     curve.set_defaults(func=_cmd_rd_curve)
-
-    bench = sub.add_parser("bench", help="time naive vs vectorized priorities")
-    bench.add_argument("--shape", type=_shape_arg, default=Shape(192, 8, 12))
-    bench.add_argument("--base", type=int, choices=(2, 3), default=3)
-    bench.add_argument("--repeat", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv", help="also write the report as CSV")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
-def _validate_threads(parser: _Parser) -> None:
-    raw = os.environ.get("TRITSTREAM_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        parser.error(f"TRITSTREAM_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        parser.error("TRITSTREAM_THREADS must be non-negative")
-    # All pipelines currently run one worker, within any positive cap.
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate_threads(parser)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (TritstreamError, ValueError, OSError) as exc:

@@ -1,24 +1,31 @@
-"""Progressive encoder/decoder: plane loop, framing, truncation, MMSE output.
+"""Progressive encoder/decoder: plane walk, framing, truncation, MMSE output.
 
-Both sides walk the digit planes most-significant first.  For each plane
-they compute the same priorities from the same interval state, apply forced
-digits for free, and entropy-code (or decode) the uncertain digits in
-priority order into one chunk per plane.  The stream is the packed header
-followed by the concatenated chunks; any byte prefix that still contains the
-full header decodes to a valid reconstruction.
+Encoding, canonicalization and decoding all run one plane walk,
+_walk_planes.  Plane by plane, most significant first, it computes the
+priorities from the current interval state, asks the caller for the digits
+of the plane's uncertain elements in priority order (the encoder derives
+and range-codes them, the decoder reads them from the plane's chunk), and
+then applies the forced digits of the certain elements together with those
+digits.  Both coder sides therefore see the same priorities from the same
+state by construction.  The stream is the packed header followed by one
+chunk per plane; any byte prefix that still contains the full header
+decodes to a valid reconstruction.
 
-Truncation semantics: a plane is entered when bytes remain for it, or when
-its directory entry is zero and either bytes remain for later planes or the
-stream is byte-complete.  This makes a header-only prefix decode to the
-untouched initial intervals (mse = mean initial distortion) while a complete
-stream always applies every plane, including trailing all-forced planes that
-occupy zero bytes.
+Truncation semantics: the decoder works out from the plane directory and
+the stream length, before it starts, which planes it enters.  A complete
+stream enters every plane, including trailing all-forced planes that occupy
+zero bytes; a prefix enters the planes whose chunk starts before the
+prefix ends.  A header-only prefix therefore decodes to the untouched
+initial intervals (mse = mean initial distortion).  The walk also stops
+inside a plane whose chunk ends before its digits are all determined.
 
-Values are canonicalized before coding: clamped into the model interval,
-then nudged per plane whenever their digit falls in a zero-frequency bin of
-the quantized table (such digits cannot be coded; the mass there is below
-2**-16).  The nudge picks the nearest nonzero bin, ties toward the smaller
-digit, and clamps the value into it.  decode(encode(x)) therefore equals
+Values are canonicalized before coding, one plane at a time: the value is
+clamped into the element's current interval, and a digit that falls in a
+zero-frequency bin of the quantized table (it cannot be coded; the mass
+there is below 2**-16) moves to the nearest nonzero bin, ties toward the
+smaller digit.  Clamps into nested intervals compose, so the value the
+stream represents is the final interval, and the digit of a certain element
+is always its forced digit.  decode(encode(x)) therefore equals
 canonicalize(x), and equals x exactly when x is already canonical.
 
 Reconstruction values are conditional means over the final intervals.  Two
@@ -30,7 +37,6 @@ the true mean is zero; forcing it removes float summation dust).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +114,14 @@ def _prepare(values, sigmas, base: int, sigma_mode: int):
     return shape, sig32, bank
 
 
-def _interval_moments(bank: ModelBank, state: IntervalState, ids: np.ndarray):
-    """Conditional mean and variance of each listed element's interval."""
-    widths = state.widths()[ids]
-    left = bank.offsets[ids] + state.lo[ids]
-    startpos = bank.starts[ids] + state.lo[ids]
+def _interval_moments(bank: ModelBank, ids: np.ndarray, lo: np.ndarray,
+                      widths: np.ndarray, fresh: np.ndarray):
+    """Conditional mean and variance of element ids[k] over [lo[k], lo[k] + widths[k]).
+
+    fresh[k] marks an interval no digit has refined yet.
+    """
+    left = bank.offsets[ids] + lo
+    startpos = bank.starts[ids] + lo
     e = np.empty(ids.size, dtype=np.float64)
     v = np.empty(ids.size, dtype=np.float64)
     for w in np.unique(widths):
@@ -133,104 +142,112 @@ def _interval_moments(bank: ModelBank, state: IntervalState, ids: np.ndarray):
             # Unrefined even-width supports: the mirrored masses cancel
             # exactly, so only the unpaired top member survives.  Summing
             # in member order buries that term under cancellation noise.
-            fresh = state.applied[ids[rows]] == 0
-            if np.any(fresh):
-                top = left[rows][fresh].astype(np.float64) + (w - 1)
-                mean[fresh] = top * p[fresh, -1] / t[fresh]
+            unrefined = fresh[rows]
+            if np.any(unrefined):
+                top = left[rows][unrefined].astype(np.float64) + (w - 1)
+                mean[unrefined] = top * p[unrefined, -1] / t[unrefined]
         np.maximum(var, 0.0, out=var)
         e[rows] = mean
         v[rows] = var
     return e, v
 
 
-def _plane_digits(bank: ModelBank, state: IntervalState, pr, j: np.ndarray,
-                  sub: int) -> np.ndarray:
-    """Digits of the active elements at this plane, nudging j when needed.
+def _walk_planes(bank: ModelBank, priority_fn, planes: int, code) -> IntervalState:
+    """Refine the initial intervals through the first `planes` planes.
 
-    A digit landing in a zero-frequency bin cannot be entropy-coded; the
-    value is clamped into the nearest bin the table can express.
+    code(n, pr, state) sees each plane's priorities before any of its digits
+    is applied and returns the digits of pr.order the stream carries; fewer
+    than pr.order.size means the stream ends inside plane n, and the walk
+    stops after applying them.
     """
-    act = pr.active
-    lo = state.lo[act]
-    cand = (j[act] - lo) // sub
-    freq_at = pr.tables[np.arange(act.size), cand]
-    bad = np.flatnonzero(freq_at == 0)
+    state = IntervalState.initial(bank)
+    for n in range(planes):
+        pr = priority_fn(bank, state, n)
+        digits = code(n, pr, state)
+        k = len(digits)
+        state.apply_plane_digits(n, np.concatenate((pr.certain, pr.order[:k])),
+                                 np.concatenate((pr.forced_digit, digits)))
+        if k < pr.order.size:
+            break
+    return state
+
+
+def _plane_digits(bank: ModelBank, state: IntervalState, pr, j: np.ndarray, n: int):
+    """Digits of pr.order at plane n, and the frequency rows they are coded with.
+
+    j is clamped into the current interval first.  A digit landing in a
+    zero-frequency bin cannot be entropy-coded, so it moves to the nearest
+    bin the table can express, ties toward the smaller digit.
+    """
+    ids = pr.order
+    tabs = pr.tables_for(ids)
+    sub = bank.base ** (bank.l_max - n - 1)
+    lo = state.lo[ids]
+    digs = (np.clip(j[ids], lo, lo + bank.base * sub - 1) - lo) // sub
+    rows = np.arange(ids.size)
+    bad = np.flatnonzero(tabs[rows, digs] == 0)
     if bad.size:
-        ks = np.arange(bank.base)
-        dist = np.where(pr.tables[bad] > 0,
-                        np.abs(ks[None, :] - cand[bad, None]),
+        dist = np.where(tabs[bad] > 0,
+                        np.abs(np.arange(bank.base) - digs[bad, None]),
                         bank.base + 1)
-        snap = dist.argmin(axis=1)
-        cand[bad] = snap
-        ids = act[bad]
-        lo_new = lo[bad] + snap * sub
-        j[ids] = np.clip(j[ids], lo_new, lo_new + sub - 1)
-    return cand
+        digs[bad] = dist.argmin(axis=1)
+    return digs, tabs
 
 
 def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
-                    trace_group: int | None, perf: dict | None):
+                    trace_group: int | None):
     shape, sig32, bank = _prepare(values, sigmas, base, sigma_mode)
-    j = np.clip(values.ravel().astype(np.int64) - bank.offsets,
-                0, bank.lengths - 1)
-    state = IntervalState.initial(bank)
+    j = values.ravel().astype(np.int64) - bank.offsets
     header_size = stream_header_size(shape, sigma_mode, bank.l_max)
 
     points = None
     if trace_group is not None:
         if trace_group < 1:
             raise ValueError("trace group must be positive")
-        _, v_track = _interval_moments(bank, state, np.arange(bank.size))
+        _, v_track = _interval_moments(bank, np.arange(bank.size),
+                                       np.zeros(bank.size, dtype=np.int64),
+                                       bank.lengths, np.ones(bank.size, dtype=bool))
         points = [(8.0 * header_size, float(v_track.mean()))]
 
     payloads: list[bytes] = []
     coded = np.zeros(bank.l_max, dtype=np.int64)
     ebits = np.zeros(bank.l_max, dtype=np.float64)
-    done = 0
-    for n in range(bank.l_max):
-        t0 = time.perf_counter()
-        pr = priority_fn(bank, state, n)
-        if perf is not None:
-            perf["priority_s"] = perf.get("priority_s", 0.0) + time.perf_counter() - t0
-        sub = bank.base ** (bank.l_max - n - 1)
-        cand = _plane_digits(bank, state, pr, j, sub)
-        upos = np.searchsorted(pr.active, pr.order)
-        tabs = pr.tables[upos]
-        digs = cand[upos]
-        state.apply_plane_digits(n, pr.active, cand)
-        if points is not None:
-            _, v_active = _interval_moments(bank, state, pr.active)
-            v_track[pr.certain] = v_active[np.searchsorted(pr.active, pr.certain)]
 
-        u = pr.order.size
-        coded[n] = u
+    def code(n, pr, state):
+        digs, tabs = _plane_digits(bank, state, pr, j, n)
+        coded[n] = digs.size
         ebits[n] = float(pr.delta_r.sum())
-        if u:
-            cums = np.zeros((u, bank.base + 1), dtype=np.int64)
-            np.cumsum(tabs, axis=1, out=cums[:, 1:])
-            cum_l = cums.tolist()
-            freq_l = tabs.tolist()
-            dig_l = digs.tolist()
+        if points is not None:
+            done = sum(map(len, payloads))
+            ids = np.concatenate((pr.certain, pr.order))
+            sub = bank.base ** (bank.l_max - n - 1)
+            lo = state.lo[ids] + np.concatenate((pr.forced_digit, digs)) * sub
+            _, v_next = _interval_moments(bank, ids, lo, np.full(ids.size, sub),
+                                          np.zeros(ids.size, dtype=bool))
+            v_track[pr.certain] = v_next[:pr.certain.size]
+            v_coded = v_next[pr.certain.size:]
+        chunk = b""
+        if digs.size:
+            rows = np.arange(digs.size)
+            freq = tabs[rows, digs]
+            cum = (np.cumsum(tabs, axis=1)[rows, digs] - freq).tolist()
+            freq = freq.tolist()
             enc = RangeEncoder()
-            t0 = time.perf_counter()
-            for i in range(u):
-                d = dig_l[i]
-                enc.encode(cum_l[i][d], freq_l[i][d])
+            for i, f in enumerate(freq):
+                enc.encode(cum[i], f)
                 if points is not None:
-                    v_track[pr.order[i]] = v_active[upos[i]]
+                    v_track[pr.order[i]] = v_coded[i]
                     if (i + 1) % trace_group == 0:
                         bits = 8.0 * (header_size + done + enc.tell())
                         points.append((bits, float(v_track.mean())))
             chunk = enc.finish()
-            if perf is not None:
-                perf["entropy_s"] = perf.get("entropy_s", 0.0) + time.perf_counter() - t0
-        else:
-            chunk = b""
+            if points is not None:
+                points.append((8.0 * (header_size + done + len(chunk)),
+                               float(v_track.mean())))
         payloads.append(chunk)
-        done += len(chunk)
-        if points is not None and chunk:
-            points.append((8.0 * (header_size + done), float(v_track.mean())))
+        return digs
 
+    state = _walk_planes(bank, priority_fn, bank.l_max, code)
     lengths = np.asarray([len(c) for c in payloads], dtype=np.int64)
     header = pack_stream_header(base, sigma_mode, shape, bank.l_max, lengths,
                                 sig32 if sigma_mode == 1 else None)
@@ -241,7 +258,7 @@ def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
         payload_lengths=lengths,
         coded_digits=coded,
         entropy_bits=ebits,
-        canonical=(bank.offsets + j).reshape(values.shape),
+        canonical=(bank.offsets + state.lo).reshape(values.shape),
     )
     if points is not None:
         # Mid-plane estimates can repeat a byte count (low-entropy digits may
@@ -262,18 +279,17 @@ def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
 
 
 def encode(values, sigmas, base: int = 3, sigma_mode: int = 1, *,
-           priority_impl: str = "vectorized", perf: dict | None = None) -> bytes:
+           priority_impl: str = "vectorized") -> bytes:
     """Encode an integer latent tensor into a progressive stream."""
     return encode_result(values, sigmas, base, sigma_mode,
-                         priority_impl=priority_impl, perf=perf).stream
+                         priority_impl=priority_impl).stream
 
 
 def encode_result(values, sigmas, base: int = 3, sigma_mode: int = 1, *,
-                  priority_impl: str = "vectorized",
-                  perf: dict | None = None) -> EncodeResult:
+                  priority_impl: str = "vectorized") -> EncodeResult:
     """Encode and keep the per-plane accounting alongside the stream."""
     result, _ = _encode_session(values, sigmas, base, sigma_mode,
-                                PRIORITY_IMPLS[priority_impl], None, perf)
+                                PRIORITY_IMPLS[priority_impl], None)
     return result
 
 
@@ -286,7 +302,7 @@ def rd_trace(values, sigmas, base: int = 3, sigma_mode: int = 1, *,
     (total bits, 0.0).  Returns the points and the encoded stream.
     """
     result, points = _encode_session(values, sigmas, base, sigma_mode,
-                                     plane_priorities_vectorized, group, None)
+                                     plane_priorities_vectorized, group)
     return points, result.stream
 
 
@@ -297,15 +313,10 @@ def canonicalize(values, sigmas, base: int = 3, sigma_mode: int = 1) -> np.ndarr
 
 
 def _canonicalize(values, bank: ModelBank) -> np.ndarray:
-    j = np.clip(values.ravel().astype(np.int64) - bank.offsets,
-                0, bank.lengths - 1)
-    state = IntervalState.initial(bank)
-    for n in range(bank.l_max):
-        pr = plane_priorities_vectorized(bank, state, n)
-        sub = bank.base ** (bank.l_max - n - 1)
-        cand = _plane_digits(bank, state, pr, j, sub)
-        state.apply_plane_digits(n, pr.active, cand)
-    return (bank.offsets + j).reshape(values.shape)
+    j = values.ravel().astype(np.int64) - bank.offsets
+    state = _walk_planes(bank, plane_priorities_vectorized, bank.l_max,
+                         lambda n, pr, st: _plane_digits(bank, st, pr, j, n)[0])
+    return (bank.offsets + state.lo).reshape(values.shape)
 
 
 def truncate(stream: bytes, byte_budget: int) -> bytes:
@@ -317,8 +328,8 @@ def truncate(stream: bytes, byte_budget: int) -> bytes:
     return stream[:byte_budget]
 
 
-def decode(stream: bytes, sigmas=None, *, priority_impl: str = "vectorized",
-           perf: dict | None = None) -> Reconstruction:
+def decode(stream: bytes, sigmas=None, *,
+           priority_impl: str = "vectorized") -> Reconstruction:
     """Decode a stream or any header-preserving byte prefix of one."""
     priority_fn = PRIORITY_IMPLS[priority_impl]
     hdr = parse_stream_header(stream)
@@ -334,43 +345,29 @@ def decode(stream: bytes, sigmas=None, *, priority_impl: str = "vectorized",
     bank = build_model_bank(bank_sig, hdr.base)
     if bank.l_max != hdr.l_max:
         raise CorruptionError("plane count disagrees with the scales")
-    full_end = hdr.header_size + int(hdr.payload_lengths.sum(dtype=np.int64))
-    if len(stream) > full_end:
+    lengths = hdr.payload_lengths.astype(np.int64)
+    ends = hdr.header_size + np.cumsum(lengths)
+    starts = ends - lengths
+    if len(stream) > ends[-1]:
         raise FormatError("stream extends past its plane directory")
-    complete = len(stream) == full_end
+    complete = len(stream) == ends[-1]
+    planes = hdr.l_max if complete else int(np.count_nonzero(starts < len(stream)))
 
-    state = IntervalState.initial(bank)
-    pos = hdr.header_size
-    for n in range(hdr.l_max):
-        plen = int(hdr.payload_lengths[n])
-        remaining = len(stream) - pos
-        if remaining == 0 and (plen > 0 or not complete):
-            break
-        t0 = time.perf_counter()
-        pr = priority_fn(bank, state, n)
-        if perf is not None:
-            perf["priority_s"] = perf.get("priority_s", 0.0) + time.perf_counter() - t0
+    def code(n, pr, state):
         u = pr.order.size
-        if (u == 0) != (plen == 0):
+        if (u == 0) != (lengths[n] == 0):
             raise CorruptionError("plane directory disagrees with the models")
-        if pr.certain.size:
-            state.apply_plane_digits(n, pr.certain, pr.forced_digit)
         if u == 0:
-            continue
-        avail = min(plen, remaining)
-        t0 = time.perf_counter()
-        res = decode_digits(stream[pos:pos + avail], pr.tables_for(pr.order), u)
-        if perf is not None:
-            perf["entropy_s"] = perf.get("entropy_s", 0.0) + time.perf_counter() - t0
-        if res.digits.size:
-            state.apply_plane_digits(n, pr.order[:res.digits.size], res.digits)
-        pos += avail
-        if res.digits.size < u:
-            if avail == plen:
-                raise CorruptionError("payload ended before its digit count")
-            break
+            return np.zeros(0, dtype=np.uint8)
+        chunk = stream[starts[n]:ends[n]]
+        digits = decode_digits(chunk, pr.tables_for(pr.order), u).digits
+        if digits.size < u and len(chunk) == lengths[n]:
+            raise CorruptionError("payload ended before its digit count")
+        return digits
 
-    e, v = _interval_moments(bank, state, np.arange(bank.size))
+    state = _walk_planes(bank, priority_fn, planes, code)
+    e, v = _interval_moments(bank, np.arange(bank.size), state.lo,
+                             state.widths(), state.applied == 0)
     dims = (hdr.shape.channels, hdr.shape.height, hdr.shape.width)
     return Reconstruction(
         values=e.reshape(dims),

@@ -18,8 +18,6 @@ __all__ = [
     "Shape",
     "row_sum",
     "split_row_sum",
-    "trisect_row_sum",
-    "bisect_row_sum",
 ]
 
 
@@ -41,18 +39,6 @@ class Shape:
     @property
     def size(self) -> int:
         return self.channels * self.height * self.width
-
-    def flat_index(self, c: int, h: int, w: int) -> int:
-        if not (0 <= c < self.channels and 0 <= h < self.height and 0 <= w < self.width):
-            raise IndexError(f"({c}, {h}, {w}) outside {self.astuple()}")
-        return (c * self.height + h) * self.width + w
-
-    def unravel(self, i: int):
-        if not 0 <= i < self.size:
-            raise IndexError(f"flat index {i} outside tensor of {self.size} elements")
-        c, rest = divmod(i, self.height * self.width)
-        h, w = divmod(rest, self.width)
-        return c, h, w
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -80,13 +66,3 @@ def split_row_sum(a, parts: int) -> np.ndarray:
     if m % parts:
         raise ValueError(f"cannot split {m} columns into {parts} equal blocks")
     return a.reshape(n, parts, m // parts).sum(axis=2)
-
-
-def trisect_row_sum(a) -> np.ndarray:
-    """Row sums over the left, middle, and right thirds of the columns."""
-    return split_row_sum(a, 3)
-
-
-def bisect_row_sum(a) -> np.ndarray:
-    """Row sums over the left and right halves of the columns."""
-    return split_row_sum(a, 2)

@@ -20,6 +20,7 @@ from tritstream import (
     mc_distortion_oracle,
     truncate,
 )
+from tritstream import codec
 from tritstream.entropy import decode_digits, encode_digits, quantize_pmf_rows
 from tritstream.gaussian import build_model_bank
 from tritstream.priority import plane_priorities_naive, plane_priorities_vectorized
@@ -81,22 +82,30 @@ def test_02_naive_and_vectorized_priorities_agree():
             f"worst rel delta {worst_rel:.3g} of 1e-9")
 
 
-def test_03_vectorized_priority_speedup():
+def test_03_vectorized_priority_speedup(monkeypatch):
     values, sigmas = generate(SynthConfig(shape=Shape(192, 8, 12), seed=0))
-    enc_s, dec_s, streams, recons = {}, {}, {}, {}
+    spent = {}
+
+    def timed(key, fn):
+        def wrapper(*args):
+            start = time.perf_counter()
+            out = fn(*args)
+            spent[key] = spent.get(key, 0.0) + time.perf_counter() - start
+            return out
+        return wrapper
+
+    streams, recons = {}, {}
     for impl in ("naive", "vectorized"):
-        perf: dict[str, float] = {}
-        streams[impl] = encode(values, sigmas, base=3, priority_impl=impl,
-                               perf=perf)
-        enc_s[impl] = perf["priority_s"]
-        perf = {}
-        recons[impl] = decode(streams[impl], priority_impl=impl, perf=perf)
-        dec_s[impl] = perf["priority_s"]
+        fn = codec.PRIORITY_IMPLS[impl]
+        monkeypatch.setitem(codec.PRIORITY_IMPLS, impl, timed(("encode", impl), fn))
+        streams[impl] = encode(values, sigmas, base=3, priority_impl=impl)
+        monkeypatch.setitem(codec.PRIORITY_IMPLS, impl, timed(("decode", impl), fn))
+        recons[impl] = decode(streams[impl], priority_impl=impl)
     gate = (streams["naive"] == streams["vectorized"]
             and np.array_equal(recons["naive"].values,
                                recons["vectorized"].values))
-    enc_ratio = enc_s["naive"] / enc_s["vectorized"]
-    dec_ratio = dec_s["naive"] / dec_s["vectorized"]
+    enc_ratio = spent["encode", "naive"] / spent["encode", "vectorized"]
+    dec_ratio = spent["decode", "naive"] / spent["decode", "vectorized"]
     ok = gate and enc_ratio >= 10.0 and dec_ratio >= 10.0
     _report("03 priority-speedup", ok,
             f"outputs equal={gate}, encode {enc_ratio:.1f}x, "

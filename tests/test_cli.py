@@ -11,12 +11,9 @@ from tritstream.reduction import Shape
 from tritstream.synth import SynthConfig, generate
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "tritstream", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -99,21 +96,6 @@ class TestRdCurve:
                        "--bases", "2,5").returncode == 1
 
 
-class TestBench:
-    def test_small_shape_report(self, tmp_path):
-        csv = str(tmp_path / "bench.csv")
-        r = run_cli("bench", "--shape", "2,4,6", "--repeat", "1", "--csv", csv)
-        assert r.returncode == 0
-        for key in ("priority_naive_s", "priority_vectorized_s",
-                    "speedup_encode", "speedup_decode", "machine"):
-            assert key in r.stdout
-        lines = open(csv).read().splitlines()
-        assert lines[0] == "metric,value"
-
-    def test_bad_shape(self):
-        assert run_cli("bench", "--shape", "2,4").returncode == 1
-
-
 class TestExitCodes:
     def test_usage_errors_are_exit_1(self, lten_path, tmp_path):
         src, _ = lten_path
@@ -133,18 +115,6 @@ class TestExitCodes:
         assert "error:" in r.stderr
         # a stream is not an LTEN file
         assert run_cli("encode", stream, str(tmp_path / "z")).returncode == 2
-
-    def test_threads_env_validation(self, lten_path, tmp_path):
-        src, _ = lten_path
-        out = str(tmp_path / "t.dpts")
-        assert run_cli("encode", src, out,
-                       env_extra={"TRITSTREAM_THREADS": "abc"}).returncode == 1
-        assert run_cli("encode", src, out,
-                       env_extra={"TRITSTREAM_THREADS": "-1"}).returncode == 1
-        assert run_cli("encode", src, out,
-                       env_extra={"TRITSTREAM_THREADS": "4"}).returncode == 0
-        assert run_cli("encode", src, out,
-                       env_extra={"TRITSTREAM_THREADS": "0"}).returncode == 0
 
     def test_version_flag(self):
         r = run_cli("--version")

@@ -96,15 +96,6 @@ class TestEncodeResult:
                        for name in PRIORITY_IMPLS}
             assert streams["naive"] == streams["vectorized"]
 
-    def test_perf_dict_populated(self):
-        v, s = _synth((2, 3, 4), seed=23)
-        perf = {}
-        stream = encode(v, s, perf=perf)
-        assert perf["priority_s"] >= 0.0 and perf["entropy_s"] >= 0.0
-        perf2 = {}
-        decode(stream, perf=perf2)
-        assert perf2["priority_s"] >= 0.0
-
 
 class TestTruncation:
     def test_header_only_is_initial_distortion(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tritstream.reduction import Shape, bisect_row_sum, row_sum, split_row_sum, trisect_row_sum
+from tritstream.reduction import Shape, row_sum, split_row_sum
 
 
 class TestShape:
@@ -17,21 +17,6 @@ class TestShape:
     def test_rejects_nonpositive(self, dims):
         with pytest.raises(ValueError):
             Shape(*dims)
-
-    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7))
-    def test_flat_index_unravel_roundtrip(self, c, h, w):
-        s = Shape(c, h, w)
-        for i in range(s.size):
-            assert s.flat_index(*s.unravel(i)) == i
-
-    def test_flat_index_matches_numpy(self):
-        s = Shape(3, 4, 5)
-        a = np.arange(s.size).reshape(s.astuple())
-        assert s.flat_index(2, 1, 3) == a[2, 1, 3]
-
-    def test_flat_index_bounds(self):
-        with pytest.raises(IndexError):
-            Shape(2, 2, 2).flat_index(2, 0, 0)
 
 
 class TestRowSums:
@@ -54,11 +39,6 @@ class TestRowSums:
     def test_split_requires_divisible_width(self, rng):
         with pytest.raises(ValueError):
             split_row_sum(rng.standard_normal((2, 10)), 3)
-
-    def test_trisect_bisect_are_split_aliases(self, rng):
-        a = rng.standard_normal((3, 12))
-        assert np.array_equal(trisect_row_sum(a), split_row_sum(a, 3))
-        assert np.array_equal(bisect_row_sum(a), split_row_sum(a, 2))
 
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(2, 3))
     def test_split_parts_recombine_to_row_sum(self, n, blocks, parts):

@@ -68,7 +68,9 @@ def quantize_pmf_rows(rows: np.ndarray) -> np.ndarray:
     order = np.argsort(-frac, axis=1, kind="stable")
     take = np.arange(rows.shape[1])[None, :] < short[:, None]
     rr = np.broadcast_to(np.arange(rows.shape[0])[:, None], order.shape)
-    np.add.at(freqs, (rr[take], order[take]), 1)
+    # Each (row, column) pair occurs once, so a plain fancy-index increment
+    # hands out the units without the cost of np.add.at.
+    freqs[rr[take], order[take]] += 1
     return freqs
 
 
@@ -153,10 +155,13 @@ class RangeDecoder:
         CorruptionError when an unpadded stream yields an out-of-range code
         point; an ambiguous return leaves the state untouched.
         """
-        r = self._range // TABLE_TOTAL
-        off = (self._code - self._low) & _M32
-        if self._pad == 0:
-            if off >= self._range:
+        low = self._low
+        rng = self._range
+        pad = self._pad
+        r = rng // TABLE_TOTAL
+        off = (self._code - low) & _M32
+        if pad == 0:
+            if off >= rng:
                 raise CorruptionError("code point outside the coding range")
             t = off // r
             if t >= TABLE_TOTAL:
@@ -167,12 +172,12 @@ class RangeDecoder:
         else:
             # The true code lies in [code, code + delta]: missing bytes were
             # read as zero and could have been anything.
-            delta = (1 << (8 * self._pad)) - 1 if self._pad < 4 else _M32
-            if off >= self._range or off + delta > _M32:
+            delta = (1 << (8 * pad)) - 1 if pad < 4 else _M32
+            if off >= rng or off + delta > _M32:
                 return None
             hi = off + delta
-            if hi >= self._range:
-                hi = self._range - 1
+            if hi >= rng:
+                hi = rng - 1
             t_lo = off // r
             t_hi = hi // r
             if t_lo >= TABLE_TOTAL:
@@ -187,17 +192,19 @@ class RangeDecoder:
                 sym_hi += 1
             if sym_hi != sym:
                 return None
-        self._low = (self._low + r * cums[sym]) & _M32
-        self._range = r * freqs[sym]
+        low = (low + r * cums[sym]) & _M32
+        rng = r * freqs[sym]
         while True:
-            if (self._low ^ (self._low + self._range)) < _TOP:
+            if (low ^ (low + rng)) < _TOP:
                 pass
-            elif self._range < _BOT:
-                self._range = (-self._low) & (_BOT - 1)
+            elif rng < _BOT:
+                rng = (-low) & (_BOT - 1)
             else:
+                self._low = low
+                self._range = rng
                 return sym
-            self._low = (self._low << 8) & _M32
-            self._range = (self._range << 8) & _M32
+            low = (low << 8) & _M32
+            rng = (rng << 8) & _M32
             self._shift_in()
 
     @property

@@ -91,15 +91,20 @@ def _bin_masses(sig_col: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Masses of integer bins `grid` under N(0, sig) with tail-safe evaluation.
 
     sig_col is (n, 1), grid is (w,); returns (n, w) rows that sum to ~1 before
-    normalization.  Positive and negative bins use mirrored expressions with
-    bit-identical float arguments, so rows are exactly symmetric in m.
+    normalization.  Every bin is a difference of two upper-tail values
+    ndtr(-(a / sig)) at the half-integer edges a = |m| - 0.5 and |m| + 0.5,
+    so far-out bins keep small positive masses, bins m and -m get
+    bit-identical values, and the CDF is evaluated once per distinct edge.
     """
-    hi = (grid + 0.5) / sig_col
-    lo = (grid - 0.5) / sig_col
-    pos = ndtr(-lo) - ndtr(-hi)          # accurate for grid > 0
-    neg = ndtr(hi) - ndtr(lo)            # accurate for grid < 0
-    ctr = 1.0 - 2.0 * ndtr(-hi)          # grid == 0 only
-    return np.where(grid > 0, pos, np.where(grid < 0, neg, ctr))
+    mag = np.abs(grid).astype(np.int64)
+    edges = np.arange(int(mag.max()) + 1, dtype=np.float64) + 0.5
+    tail = ndtr(-(edges / sig_col))
+    inner = np.maximum(mag - 1, 0)
+    rows = tail.take(inner, axis=1) - tail.take(mag, axis=1)
+    zero = np.flatnonzero(mag == 0)
+    if zero.size:
+        rows[:, zero] = 1.0 - 2.0 * tail[:, :1]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 from .entropy import RangeEncoder, decode_digits
 from .errors import CorruptionError, FormatError
 from .formats import pack_stream_header, parse_stream_header, stream_header_size
-from .gaussian import ElementModel, ModelBank, build_model_bank
+from .gaussian import ElementModel, ModelBank, build_model_bank, interval_exponent
 from .priority import plane_priorities_naive, plane_priorities_vectorized
 from .reduction import Shape
 from .slicing import IntervalState
@@ -180,7 +180,7 @@ def _plane_digits(bank: ModelBank, state: IntervalState, pr, j: np.ndarray, n: i
     bin the table can express, ties toward the smaller digit.
     """
     ids = pr.order
-    tabs = pr.tables_for(ids)
+    tabs = pr.coded_tables
     sub = bank.base ** (bank.l_max - n - 1)
     lo = state.lo[ids]
     digs = (np.clip(j[ids], lo, lo + bank.base * sub - 1) - lo) // sub
@@ -342,9 +342,16 @@ def decode(stream: bytes, sigmas=None, *,
         if sig.size != hdr.shape.size:
             raise ValueError("scale count does not match the stream dimensions")
         bank_sig = sig.ravel()
-    bank = build_model_bank(bank_sig, hdr.base)
-    if bank.l_max != hdr.l_max:
+    largest = float(bank_sig.max())
+    if not (bank_sig.min() > 0.0 and largest < np.inf):
+        # Embedded scales are stream bytes; out-of-band ones are an argument.
+        error = FormatError if hdr.sigma_mode == 1 else ValueError
+        raise error("scales must be positive finite numbers")
+    # The exponent grows with the scale, so the largest scale sets l_max.
+    # Checking it first keeps a forged scale from sizing the mass table.
+    if interval_exponent(largest, hdr.base) != hdr.l_max:
         raise CorruptionError("plane count disagrees with the scales")
+    bank = build_model_bank(bank_sig, hdr.base)
     lengths = hdr.payload_lengths.astype(np.int64)
     ends = hdr.header_size + np.cumsum(lengths)
     starts = ends - lengths
@@ -360,7 +367,7 @@ def decode(stream: bytes, sigmas=None, *,
         if u == 0:
             return np.zeros(0, dtype=np.uint8)
         chunk = stream[starts[n]:ends[n]]
-        digits = decode_digits(chunk, pr.tables_for(pr.order), u).digits
+        digits = decode_digits(chunk, pr.coded_tables, u).digits
         if digits.size < u and len(chunk) == lengths[n]:
             raise CorruptionError("payload ended before its digit count")
         return digits

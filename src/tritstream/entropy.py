@@ -8,12 +8,15 @@ table with a single nonzero frequency is a certain digit: it is never coded
 and costs zero bytes.
 
 The coder is a carry-less byte-oriented range coder on 32-bit unsigned
-arithmetic (Python ints, masked).  The decoder can run on a truncated byte
-prefix: it tracks how many bytes past the end it has consumed as zero fill
-and reports a digit only when every byte string consistent with the missing
-suffix decodes to that same digit.  Decoding therefore never invents a wrong
-digit, and feeding more bytes only extends the digit sequence already
-produced.
+arithmetic (Python ints, masked).  The encoder is the RangeEncoder class, one
+encode() call per digit.  The decoder is decode_digits alone: one loop over
+the digits with the coder state in locals, reading one flat list of
+cumulative frequencies built from only the rows it may need.  It can run on a
+truncated byte prefix: it tracks how many bytes past the end it has consumed
+as zero fill and reports a digit only when every byte string consistent with
+the missing suffix decodes to that same digit.  Decoding therefore never
+invents a wrong digit, and feeding more bytes only extends the digit sequence
+already produced.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "quantize_pmf",
     "quantize_pmf_rows",
     "RangeEncoder",
-    "RangeDecoder",
     "encode_digits",
     "decode_digits",
     "CodedChunk",
@@ -119,105 +121,6 @@ class RangeEncoder:
         return bytes(self._out)
 
 
-class RangeDecoder:
-    """Decoder that accepts byte prefixes of an encoded chunk.
-
-    Bytes past the end of `data` are read as zero fill; `pad` counts how
-    many such bytes currently sit inside the 4-byte code window.  decode()
-    returns None, without consuming anything, when the available bytes do
-    not pin down the next digit.
-    """
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._low = 0
-        self._range = _M32
-        self._code = 0
-        self._pad = 0
-        for _ in range(4):
-            self._shift_in()
-
-    def _shift_in(self) -> None:
-        if self._pos < len(self._data):
-            byte = self._data[self._pos]
-        else:
-            byte = 0
-            self._pad += 1
-        self._pos += 1
-        self._code = ((self._code << 8) | byte) & _M32
-
-    def decode(self, freqs, cums) -> int | None:
-        """Decode one symbol, or return None while the prefix is ambiguous.
-
-        freqs is one frequency table as a sequence of ints, cums its
-        exclusive prefix sums with the grand total appended.  Raises
-        CorruptionError when an unpadded stream yields an out-of-range code
-        point; an ambiguous return leaves the state untouched.
-        """
-        low = self._low
-        rng = self._range
-        pad = self._pad
-        r = rng // TABLE_TOTAL
-        off = (self._code - low) & _M32
-        if pad == 0:
-            if off >= rng:
-                raise CorruptionError("code point outside the coding range")
-            t = off // r
-            if t >= TABLE_TOTAL:
-                t = TABLE_TOTAL - 1
-            sym = 0
-            while cums[sym + 1] <= t:
-                sym += 1
-        else:
-            # The true code lies in [code, code + delta]: missing bytes were
-            # read as zero and could have been anything.
-            delta = (1 << (8 * pad)) - 1 if pad < 4 else _M32
-            if off >= rng or off + delta > _M32:
-                return None
-            hi = off + delta
-            if hi >= rng:
-                hi = rng - 1
-            t_lo = off // r
-            t_hi = hi // r
-            if t_lo >= TABLE_TOTAL:
-                t_lo = TABLE_TOTAL - 1
-            if t_hi >= TABLE_TOTAL:
-                t_hi = TABLE_TOTAL - 1
-            sym = 0
-            while cums[sym + 1] <= t_lo:
-                sym += 1
-            sym_hi = sym
-            while cums[sym_hi + 1] <= t_hi:
-                sym_hi += 1
-            if sym_hi != sym:
-                return None
-        low = (low + r * cums[sym]) & _M32
-        rng = r * freqs[sym]
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
-            else:
-                self._low = low
-                self._range = rng
-                return sym
-            low = (low << 8) & _M32
-            rng = (rng << 8) & _M32
-            self._shift_in()
-
-    @property
-    def exhausted(self) -> bool:
-        """True once zero-fill bytes have entered the code window."""
-        return self._pad > 0
-
-    @property
-    def consumed(self) -> int:
-        """Bytes of the input actually pulled into the code window."""
-        return min(self._pos, len(self._data))
-
-
 @dataclass(frozen=True)
 class CodedChunk:
     """One plane's payload: coded bytes plus how many digits went in."""
@@ -270,20 +173,83 @@ def encode_digits(digits, tables) -> CodedChunk:
 def decode_digits(data: bytes, tables, count: int) -> DecodeResult:
     """Decode up to `count` digits from a chunk prefix.
 
-    Stops early (exhausted=True) when the remaining bytes no longer
-    determine the next digit.
+    Digit i is decoded with tables[i].  Bytes past the end of `data` are
+    read as zero fill, and `pad` counts how many such bytes sit inside the
+    4-byte code window.  While pad > 0 the true code lies anywhere in
+    [code, code + 2**(8 * pad) - 1]; decoding stops (exhausted=True) at the
+    first digit that this span does not pin down.  Raises CorruptionError
+    when an unpadded code point falls outside the coding range.
     """
     tables = np.asarray(tables, dtype=np.uint32)
     if tables.ndim != 2 or tables.shape[0] < count:
         raise ValueError("one frequency table per expected digit is required")
-    freq_l = tables.tolist()
-    cum_l = _cum_rows(tables).tolist()
-    dec = RangeDecoder(data)
-    out = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        sym = dec.decode(freq_l[i], cum_l[i])
-        if sym is None:
-            return DecodeResult(digits=out[:i].copy(), consumed=dec.consumed,
-                                exhausted=True)
-        out[i] = sym
-    return DecodeResult(digits=out, consumed=dec.consumed, exhausted=False)
+    # Row i of the cumulative table starts at cums[i * stride]; symbol s of
+    # that row spans [cums[row + s], cums[row + s + 1]).
+    stride = tables.shape[1] + 1
+    cums = _cum_rows(tables[:count]).ravel().tolist()
+    size = len(data)
+    code = pad = 0
+    for k in range(4):
+        code <<= 8
+        if k < size:
+            code |= data[k]
+        else:
+            pad += 1
+    low, rng, pos = 0, _M32, 4
+    out = bytearray()
+    exhausted = False
+    row = 0
+    for _ in range(count):
+        r = rng // TABLE_TOTAL
+        off = (code - low) & _M32
+        if pad == 0:
+            if off >= rng:
+                raise CorruptionError("code point outside the coding range")
+            t = off // r
+            if t >= TABLE_TOTAL:
+                t = TABLE_TOTAL - 1
+            s = row
+            while cums[s + 1] <= t:
+                s += 1
+        else:
+            delta = (1 << (8 * pad)) - 1 if pad < 4 else _M32
+            if off >= rng or off + delta > _M32:
+                exhausted = True
+                break
+            hi = off + delta
+            if hi >= rng:
+                hi = rng - 1
+            t = off // r
+            t_hi = hi // r
+            if t >= TABLE_TOTAL:
+                t = TABLE_TOTAL - 1
+            if t_hi >= TABLE_TOTAL:
+                t_hi = TABLE_TOTAL - 1
+            s = row
+            while cums[s + 1] <= t:
+                s += 1
+            if cums[s + 1] <= t_hi:
+                exhausted = True
+                break
+        c = cums[s]
+        low = (low + r * c) & _M32
+        rng = r * (cums[s + 1] - c)
+        out.append(s - row)
+        row += stride
+        while True:
+            if (low ^ (low + rng)) < _TOP:
+                pass
+            elif rng < _BOT:
+                rng = (-low) & (_BOT - 1)
+            else:
+                break
+            low = (low << 8) & _M32
+            rng = (rng << 8) & _M32
+            if pos < size:
+                code = ((code << 8) | data[pos]) & _M32
+            else:
+                code = (code << 8) & _M32
+                pad += 1
+            pos += 1
+    return DecodeResult(digits=np.frombuffer(out, dtype=np.uint8),
+                        consumed=min(pos, size), exhausted=exhausted)

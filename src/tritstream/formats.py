@@ -58,6 +58,7 @@ STREAM_VERSION = 1
 ARITHMETIC_PROFILE = 1
 
 _STREAM_HEAD = struct.Struct("<4sBBBB3IB")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 _TENSOR_HEAD = struct.Struct("<4sB3I")
 
 
@@ -124,6 +125,8 @@ def parse_stream_header(data: bytes) -> StreamHeader:
         raise FormatError(f"invalid sigma storage mode {sigma_mode}")
     if min(c, h, w) < 1 or l_max < 1:
         raise FormatError("invalid dimensions")
+    if base ** l_max > _INT64_MAX:
+        raise FormatError(f"{l_max} base-{base} planes overflow an int64 interval length")
     shape = Shape(c, h, w)
     pos = _STREAM_HEAD.size
     sigmas = None

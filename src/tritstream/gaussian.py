@@ -42,6 +42,11 @@ __all__ = [
 TAIL_EPSILON = 5e-10
 SIGMA_MIN = 0.05
 
+# Mass entries build_model_bank computes at once; a block always holds at
+# least one element.
+_BLOCK_ENTRIES = 1 << 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 # One-sided z covering 1 - TAIL_EPSILON of the standard normal.  Evaluated
 # at the small-p end; 1 - TAIL_EPSILON itself is 7 ulps wide near 1.0.
 _TAIL_Z = float(-ndtri(TAIL_EPSILON))
@@ -65,18 +70,19 @@ def interval_exponent(sigma, base: int):
     """
     if base not in (2, 3):
         raise ValueError(f"base must be 2 or 3, got {base}")
-    scalar = np.ndim(sigma) == 0
-    sig = np.maximum(np.atleast_1d(np.asarray(sigma, dtype=np.float64)), SIGMA_MIN)
+    sig = np.maximum(np.asarray(sigma, dtype=np.float64), SIGMA_MIN)
     target = 2.0 * sig * _TAIL_Z
-    ell = np.maximum(np.ceil(np.log(target) / math.log(base)).astype(np.int64), 1)
+    # Exponents stay floats (exact small integers) until the end.  A target
+    # past the float range would give an infinite exponent; the cap is
+    # beyond every finite target and still names a model no int64 indexes.
+    ell = np.minimum(np.maximum(np.ceil(np.log(target) / math.log(base)), 1.0), 2048.0)
     # The float log can land one off around exact powers; settle by comparison.
     b = float(base)
-    ell[b ** ell.astype(np.float64) < target] += 1
-    shrink = (ell > 1) & (b ** (ell.astype(np.float64) - 1.0) >= target)
-    ell[shrink] -= 1
-    if scalar:
-        return int(ell[0])
-    return ell
+    ell = ell + (b ** ell < target)
+    ell = ell - ((ell > 1.0) & (b ** (ell - 1.0) >= target))
+    if np.ndim(ell) == 0:
+        return int(ell)
+    return ell.astype(np.int64)
 
 
 def _interval_offset(exponents, base: int):
@@ -173,9 +179,12 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
     """Build models for every element of a scale tensor.
 
     Scales must be positive and finite; values below SIGMA_MIN are clamped.
+    Raises ValueError when the models would need more mass entries than an
+    int64 offset can index.
     """
     if base not in (2, 3):
         raise ValueError(f"base must be 2 or 3, got {base}")
+    base = int(base)
     sig = np.asarray(sigmas, dtype=np.float64).ravel()
     if sig.size == 0:
         raise ValueError("scale tensor is empty")
@@ -184,20 +193,32 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
     sig = np.maximum(sig, SIGMA_MIN)
 
     exponents = interval_exponent(sig, base)
+    counts = np.bincount(exponents).tolist()
+    total = sum(c * base ** ell for ell, c in enumerate(counts))
+    if total > _INT64_MAX:
+        raise ValueError("the scales need more model entries than int64 can index")
     offsets = _interval_offset(exponents, base)
     lengths = np.asarray(base, dtype=np.int64) ** exponents
     starts = np.zeros(sig.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
 
-    flat = np.empty(int(lengths.sum()), dtype=np.float64)
-    for ell in np.unique(exponents):
+    # Each exponent group is built a block of about _BLOCK_ENTRIES mass
+    # entries at a time; rows are computed and normalised independently, so
+    # the blocks change no value.
+    flat = np.empty(total, dtype=np.float64)
+    for ell, count in enumerate(counts):
+        if not count:
+            continue
         members = np.flatnonzero(exponents == ell)
-        w = int(base) ** int(ell)
-        grid = (_interval_offset(ell, base) + np.arange(w, dtype=np.int64)).astype(np.float64)
-        rows = _bin_masses(sig[members, None], grid)
-        rows /= rows.sum(axis=1, keepdims=True)
-        idx = starts[members, None] + np.arange(w)
-        flat[idx] = rows
+        w = base ** ell
+        cols = np.arange(w)
+        grid = (_interval_offset(ell, base) + cols).astype(np.float64)
+        step = max(1, _BLOCK_ENTRIES // w)
+        for a in range(0, count, step):
+            blk = members[a:a + step]
+            rows = _bin_masses(sig[blk, None], grid)
+            rows /= rows.sum(axis=1, keepdims=True)
+            flat[starts[blk, None] + cols] = rows
 
     return ModelBank(
         base=base,

@@ -44,6 +44,10 @@ __all__ = [
     "delta_d",
 ]
 
+# Mass entries one block of plane_priorities_vectorized gathers; a block
+# always holds at least one row.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _alg_rows(p: np.ndarray, base: int):
     """Branch statistics for mass rows p over intervals of equal width.
@@ -80,7 +84,8 @@ class PlanePriorities:
     `active` lists the elements with a digit at this plane, ascending.
     `tables` holds their quantized frequency rows in the same order.
     Forced digits for `certain` elements are applied without coding;
-    `order` gives the coding order of the `uncertain` elements.
+    `order` gives the coding order of the `uncertain` elements, and
+    `coded_tables[k]` is the frequency row digit `order[k]` is coded with.
     """
 
     plane: int
@@ -92,10 +97,7 @@ class PlanePriorities:
     delta_r: np.ndarray
     delta_d: np.ndarray
     order: np.ndarray
-
-    def tables_for(self, ids: np.ndarray) -> np.ndarray:
-        """Frequency rows for the given active element ids."""
-        return self.tables[np.searchsorted(self.active, ids)]
+    coded_tables: np.ndarray
 
 
 def _assemble(plane: int, active: np.ndarray, q: np.ndarray,
@@ -104,22 +106,24 @@ def _assemble(plane: int, active: np.ndarray, q: np.ndarray,
     certain_mask = (tables > 0).sum(axis=1) == 1
     certain = active[certain_mask]
     forced = tables.argmax(axis=1)[certain_mask].astype(np.uint8)
-    uncertain = active[~certain_mask]
-    u_dr = dr[~certain_mask]
-    u_dd = dd[~certain_mask]
-    assert np.all(u_dr > 0.0), "uncertain digit with zero entropy"
+    rows = np.flatnonzero(~certain_mask)
+    u_dr = dr[rows]
+    u_dd = dd[rows]
+    if not np.all(u_dr > 0.0):
+        raise CorruptionError("uncertain digit with zero entropy")
     prio = -u_dd / u_dr
-    perm = np.argsort(-prio, kind="stable")
+    coded = rows[np.argsort(-prio, kind="stable")]
     return PlanePriorities(
         plane=plane,
         active=active,
         tables=tables,
         certain=certain,
         forced_digit=forced,
-        uncertain=uncertain,
+        uncertain=active[rows],
         delta_r=u_dr,
         delta_d=u_dd,
-        order=uncertain[perm],
+        order=active[coded],
+        coded_tables=tables[coded],
     )
 
 
@@ -133,12 +137,24 @@ def _active_rows(state: IntervalState, plane: int) -> np.ndarray:
 
 def plane_priorities_vectorized(bank: ModelBank, state: IntervalState,
                                 plane: int) -> PlanePriorities:
-    """Branch statistics and coding order for one plane, all rows at once."""
+    """Branch statistics and coding order for one plane, a block of rows at a time.
+
+    Each block gathers about _BLOCK_ENTRIES mass entries, so temporaries stay
+    bounded whatever the plane size; rows reduce independently, so the
+    blocks change no result.
+    """
     active = _active_rows(state, plane)
     width = bank.base ** (bank.l_max - plane)
-    idx = (bank.starts + state.lo)[active][:, None] + np.arange(width)
-    p = bank.masses_flat[idx]
-    q, dr, dd = _alg_rows(p, bank.base)
+    first = (bank.starts + state.lo)[active]
+    cols = np.arange(width)
+    q = np.empty((active.size, bank.base), dtype=np.float64)
+    dr = np.empty(active.size, dtype=np.float64)
+    dd = np.empty(active.size, dtype=np.float64)
+    step = max(1, _BLOCK_ENTRIES // width)
+    for a in range(0, active.size, step):
+        b = a + step
+        p = bank.masses_flat[first[a:b, None] + cols]
+        q[a:b], dr[a:b], dd[a:b] = _alg_rows(p, bank.base)
     return _assemble(plane, active, q, dr, dd)
 
 

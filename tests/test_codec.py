@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tritstream.codec as codec_module
 from conftest import interval_moments_oracle
 from tritstream.codec import (
     PRIORITY_IMPLS,
@@ -14,8 +15,8 @@ from tritstream.codec import (
     truncate,
 )
 from tritstream.errors import CorruptionError, FormatError
-from tritstream.formats import parse_stream_header, stream_header_size
-from tritstream.gaussian import build_element_model
+from tritstream.formats import pack_stream_header, parse_stream_header, stream_header_size
+from tritstream.gaussian import build_element_model, interval_exponent
 from tritstream.reduction import Shape
 from tritstream.synth import SynthConfig, generate
 
@@ -183,6 +184,58 @@ class TestDecodeErrors:
         stream = encode(v, s, base=3, sigma_mode=0)
         with pytest.raises(CorruptionError):
             decode(stream, sigmas=np.full((2, 2, 2), 8.0, dtype=np.float32))
+
+    @staticmethod
+    def _with_scale(stream, scale):
+        """A two-element mode-1 stream with its first embedded scale replaced."""
+        scales = np.frombuffer(stream, dtype="<f4", count=2, offset=21).copy()
+        scales[0] = scale
+        return stream[:21] + scales.tobytes() + stream[29:]
+
+    @staticmethod
+    def _two_element_stream():
+        stream = encode(np.zeros((1, 1, 2), dtype=np.int64),
+                        np.ones((1, 1, 2), dtype=np.float32), base=3, sigma_mode=1)
+        assert len(stream) == 49
+        return stream
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 0.0])
+    def test_invalid_embedded_scale_is_format_error(self, scale):
+        with pytest.raises(FormatError, match="scales"):
+            decode(self._with_scale(self._two_element_stream(), scale))
+
+    @pytest.mark.parametrize("scale", [3e38, 1e9])
+    def test_forged_large_scale_fails_before_the_model_build(self, scale, monkeypatch):
+        # Unchecked, 1e9 asks for a 3**22-entry mass table (234 GiB).
+        def no_build(*_):
+            raise AssertionError("model bank built for a forged scale")
+
+        forged = self._with_scale(self._two_element_stream(), scale)
+        monkeypatch.setattr(codec_module, "build_model_bank", no_build)
+        with pytest.raises(CorruptionError, match="plane count"):
+            decode(forged)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_out_of_band_scale_errors(self):
+        v, s = _synth((2, 2, 2), seed=43)
+        stream = encode(v, s, sigma_mode=0)
+        bad = s.astype(np.float64)
+        bad.flat[3] = np.nan
+        with pytest.raises(ValueError):
+            decode(stream, sigmas=bad)
+        bad.flat[3] = 1e308     # finite, but its interval overflows
+        with pytest.raises(CorruptionError, match="plane count"):
+            decode(stream, sigmas=bad)
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_plane_count_matching_a_huge_scale_is_rejected(self, base):
+        # l_max agrees with the forged scale, but base**l_max overflows int64.
+        l_max = interval_exponent(3e38, base)
+        sig = np.asarray([3e38, 1.0], dtype="<f4")
+        stream = pack_stream_header(base, 1, Shape(1, 1, 2), l_max,
+                                    np.zeros(l_max, np.uint32), sig)
+        with pytest.raises(FormatError, match="int64"):
+            decode(stream)
 
     def test_corrupt_payload_detected(self):
         v, s = _synth((4, 8, 12), seed=11)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import entropy_bits
+from tritstream.errors import CorruptionError
 from tritstream.entropy import (
     MASS_FLOOR,
     TABLE_TOTAL,
@@ -117,6 +118,32 @@ class TestRoundTrip:
         chunk = encode_digits(digits, tables)
         res = decode_digits(chunk.data, tables, digits.size)
         assert np.array_equal(res.digits, digits)
+
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]),
+           st.integers(1, 200), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_chunks_give_digits_or_corruption(self, seed, base, n, flip):
+        # A complete chunk with one byte flipped, or random bytes of the same
+        # length: decoding returns in-range digits or raises CorruptionError.
+        rng = np.random.default_rng(seed)
+        tables = _skewed_tables(n, base, seed)
+        chunk = encode_digits(_sample_digits(tables, seed + 3), tables).data
+        if flip:
+            bad = bytearray(chunk)
+            bad[rng.integers(len(bad))] ^= int(rng.integers(1, 256))
+            data = bytes(bad)
+        else:
+            data = rng.bytes(len(chunk))
+        try:
+            res = decode_digits(data, tables, n)
+        except CorruptionError:
+            return
+        assert res.digits.dtype == np.uint8
+        assert res.digits.size <= n
+        assert res.exhausted == (res.digits.size < n)
+        assert np.all(tables[np.arange(res.digits.size), res.digits] > 0)
+        assert res.consumed <= len(data)
 
 
 class TestRateBounds:

@@ -150,3 +150,14 @@ class TestModelBank:
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
             build_model_bank(np.asarray([1.0]), 10)
+
+    @pytest.mark.parametrize("sigmas,base", [
+        ([3e38], 2),            # L = 132: 2**132 wraps an int64 length
+        ([3e38], 3),            # L = 83
+        ([2e17] * 3, 3),        # L = 39 each fits, the three together do not
+        ([1e308], 2),           # 2 * sigma * z overflows to inf
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rejects_models_beyond_int64(self, sigmas, base):
+        with pytest.raises(ValueError, match="int64"):
+            build_model_bank(np.asarray(sigmas, dtype=np.float64), base)

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tritstream.gaussian as gaussian
+import tritstream.priority as priority
 from conftest import interval_moments_oracle
 from tritstream.entropy import TABLE_TOTAL
+from tritstream.errors import CorruptionError
 from tritstream.gaussian import build_model_bank
 from tritstream.priority import (
     _alg_rows,
+    _assemble,
     conditional_pmf,
     delta_d,
     digit_entropy,
@@ -191,16 +195,16 @@ class TestPlanePriorities:
         assert pr.uncertain.tolist() == [0]
         assert np.all(pr.tables[0] > 0)
 
-    def test_tables_for_selects_rows(self):
+    def test_coded_tables_follow_order(self):
         rng = np.random.default_rng(9)
         sig = np.exp(rng.uniform(np.log(0.3), np.log(9.0), size=20))
         bank = _bank(sig, 2)
         pr = plane_priorities_vectorized(bank, IntervalState.initial(bank), 0)
-        ids = pr.active[::3]
-        rows = pr.tables_for(ids)
-        for r, i in enumerate(ids):
-            k = int(np.flatnonzero(pr.active == i)[0])
-            assert np.array_equal(rows[r], pr.tables[k])
+        assert pr.order.size > 1
+        assert pr.coded_tables.shape == (pr.order.size, 2)
+        for k, i in enumerate(pr.order):
+            row = int(np.flatnonzero(pr.active == i)[0])
+            assert np.array_equal(pr.coded_tables[k], pr.tables[row])
 
     def test_deterministic_across_calls(self):
         bank = _bank([0.7, 1.9, 4.0], 3)
@@ -210,3 +214,54 @@ class TestPlanePriorities:
         b = plane_priorities_vectorized(bank, s2, 0)
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.tables, b.tables)
+
+
+class TestBlocks:
+    """The bounded blocks of the model build and the priorities change no bit."""
+
+    @staticmethod
+    def _walk(sig, base, monkeypatch, bank_block, prio_block):
+        monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", bank_block)
+        monkeypatch.setattr(priority, "_BLOCK_ENTRIES", prio_block)
+        seen = []
+        assemble = priority._assemble
+
+        def spy(plane, active, q, dr, dd):
+            seen.append((q.copy(), dr.copy(), dd.copy()))
+            return assemble(plane, active, q, dr, dd)
+
+        monkeypatch.setattr(priority, "_assemble", spy)
+        bank = build_model_bank(sig, base)
+        vals = bank.offsets + np.random.default_rng(1).integers(0, bank.lengths)
+        stack = slice_latent(vals, bank)
+        state = IntervalState.initial(bank)
+        planes = []
+        for n in range(bank.l_max):
+            pr = plane_priorities_vectorized(bank, state, n)
+            planes.append((pr.tables, pr.order, pr.coded_tables) + seen[-1])
+            ids = state.active_ids(n)
+            state.apply_plane_digits(n, ids, stack.planes[n, ids])
+        return bank.masses_flat, planes
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_tiny_blocks_match_one_block(self, base, monkeypatch):
+        rng = np.random.default_rng(base)
+        sig = np.exp(rng.uniform(np.log(0.05), np.log(9.0), size=301))
+        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40)
+        # 50 and 40 entries: many blocks per exponent group and per plane,
+        # single-row blocks for the widest rows, and a ragged last block.
+        flat, blocked = self._walk(sig, base, monkeypatch, 50, 40)
+        assert np.array_equal(flat, one_flat)
+        assert len(blocked) == len(one)
+        for got, want in zip(blocked, one):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+
+def test_zero_entropy_uncertain_row_is_corruption():
+    # Two nonzero bins but no entropy cannot come from a real model; a
+    # stripped assert must not let it through under python -O.
+    q = np.asarray([[0.5, 0.5]])
+    with pytest.raises(CorruptionError):
+        _assemble(0, np.asarray([0]), q, np.asarray([0.0]), np.asarray([-1.0]))

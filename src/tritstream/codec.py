@@ -62,6 +62,10 @@ __all__ = [
     "PRIORITY_IMPLS",
 ]
 
+# Mass entries one block of _interval_moments gathers; a block always holds
+# at least one row.
+_BLOCK_ENTRIES = 1 << 16
+
 PRIORITY_IMPLS = {
     "vectorized": plane_priorities_vectorized,
     "naive": plane_priorities_naive,
@@ -118,37 +122,46 @@ def _interval_moments(bank: ModelBank, ids: np.ndarray, lo: np.ndarray,
                       widths: np.ndarray, fresh: np.ndarray):
     """Conditional mean and variance of element ids[k] over [lo[k], lo[k] + widths[k]).
 
-    fresh[k] marks an interval no digit has refined yet.
+    fresh[k] marks an interval no digit has refined yet.  Each width group
+    is gathered a block of about _BLOCK_ENTRIES mass entries at a time;
+    rows reduce independently, so the blocks change no value.
     """
     left = bank.offsets[ids] + lo
     startpos = bank.starts[ids] + lo
     e = np.empty(ids.size, dtype=np.float64)
     v = np.empty(ids.size, dtype=np.float64)
     for w in np.unique(widths):
-        rows = np.flatnonzero(widths == w)
+        group = np.flatnonzero(widths == w)
         w = int(w)
         if w == 1:
-            e[rows] = left[rows].astype(np.float64)
-            v[rows] = 0.0
+            e[group] = left[group].astype(np.float64)
+            v[group] = 0.0
             continue
-        p = bank.masses_flat[startpos[rows][:, None] + np.arange(w)]
-        m = left[rows][:, None] + np.arange(w, dtype=np.float64)
-        t = p.sum(axis=1)
-        mean = (p * m).sum(axis=1) / t
-        var = (p * m * m).sum(axis=1) / t - mean * mean
-        center = left[rows] + (w - 1) / 2.0
-        mean[center == 0.0] = 0.0
-        if w % 2 == 0:
-            # Unrefined even-width supports: the mirrored masses cancel
-            # exactly, so only the unpaired top member survives.  Summing
-            # in member order buries that term under cancellation noise.
-            unrefined = fresh[rows]
-            if np.any(unrefined):
-                top = left[rows][unrefined].astype(np.float64) + (w - 1)
-                mean[unrefined] = top * p[unrefined, -1] / t[unrefined]
-        np.maximum(var, 0.0, out=var)
-        e[rows] = mean
-        v[rows] = var
+        windows = bank.windows(w)
+        cols = np.arange(w, dtype=np.float64)
+        step = max(1, _BLOCK_ENTRIES // w)
+        for a in range(0, group.size, step):
+            rows = group[a:a + step]
+            p = windows[startpos[rows]]
+            m = left[rows][:, None] + cols
+            t = p.sum(axis=1)
+            pm = p * m
+            mean = pm.sum(axis=1) / t
+            pm *= m
+            var = pm.sum(axis=1) / t - mean * mean
+            center = left[rows] + (w - 1) / 2.0
+            mean[center == 0.0] = 0.0
+            if w % 2 == 0:
+                # Unrefined even-width supports: the mirrored masses cancel
+                # exactly, so only the unpaired top member survives.  Summing
+                # in member order buries that term under cancellation noise.
+                unrefined = fresh[rows]
+                if np.any(unrefined):
+                    top = left[rows][unrefined].astype(np.float64) + (w - 1)
+                    mean[unrefined] = top * p[unrefined, -1] / t[unrefined]
+            np.maximum(var, 0.0, out=var)
+            e[rows] = mean
+            v[rows] = var
     return e, v
 
 

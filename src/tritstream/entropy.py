@@ -62,17 +62,25 @@ def quantize_pmf_rows(rows: np.ndarray) -> np.ndarray:
     totals = kept.sum(axis=1, keepdims=True)
     if np.any(totals <= 0.0):
         raise ValueError("a PMF row lost all its mass to the floor")
-    scaled = (kept / totals) * TABLE_TOTAL
-    freqs = np.floor(scaled).astype(np.uint32)
+    # kept turns into the scaled masses and then their fractional parts.
+    kept /= totals
+    kept *= TABLE_TOTAL
+    floors = np.floor(kept)
+    freqs = floors.astype(np.uint32)
+    frac = np.subtract(kept, floors, out=kept)
+    del floors
     short = TABLE_TOTAL - freqs.sum(axis=1, dtype=np.int64)
-    frac = scaled - np.floor(scaled)
-    # Stable descending-fraction order; earlier index wins ties.
-    order = np.argsort(-frac, axis=1, kind="stable")
-    take = np.arange(rows.shape[1])[None, :] < short[:, None]
-    rr = np.broadcast_to(np.arange(rows.shape[0])[:, None], order.shape)
-    # Each (row, column) pair occurs once, so a plain fancy-index increment
-    # hands out the units without the cost of np.add.at.
-    freqs[rr[take], order[take]] += 1
+    # A column's rank is its place in descending-fraction order, earlier
+    # index first among equal fractions: the count of columns ahead of it.
+    # The columns ranked below a row's shortfall get one unit each.
+    width = rows.shape[1]
+    rank = np.zeros(frac.shape, dtype=np.intp)
+    for a in range(width):
+        for b in range(a + 1, width):
+            b_ahead = frac[:, b] > frac[:, a]
+            rank[:, a] += b_ahead
+            rank[:, b] += ~b_ahead
+    freqs += rank < short[:, None]
     return freqs
 
 

@@ -6,7 +6,7 @@ Progressive stream ("DPTS"):
 
     offset 0   magic "DPTS" (4 bytes)
            4   format version (1 byte, currently 1)
-           5   producer arithmetic profile (1 byte, currently 1)
+           5   producer arithmetic profile (1 byte, currently 2)
            6   digit base, 2 or 3 (1 byte)
            7   sigma storage mode, 0 = out-of-band, 1 = embedded (1 byte)
            8   dims C, H, W (3 x uint32)
@@ -18,9 +18,13 @@ Progressive stream ("DPTS"):
 The profile byte pins the float arithmetic the producer used for priority
 ordering (IEEE-754 float64 with numpy's pairwise row reduction); a decoder
 must reject a profile it does not implement, since digit order depends on
-it.  Directory entries are written once at encode time and never rewritten:
-a truncated stream keeps the full directory, and the decoder treats the
-lengths as upper bounds capped by the physical end of the bytes.
+it.  Profile 2 computes each digit's distortion change as minus the
+variance of its subrange means, from subrange masses and first moments
+taken over positions within each subrange; profile 1 subtracted the
+interval variance from the mean subrange variance, both from second
+moments.  Directory entries are written once at encode time and never
+rewritten: a truncated stream keeps the full directory, and the decoder
+treats the lengths as upper bounds capped by the physical end of the bytes.
 
 Latent tensor file ("LTEN"): magic, version byte, dims C,H,W as uint32, then
 K int32 values followed by K float32 scales.  Reconstruction file ("LFLT"):
@@ -55,7 +59,7 @@ STREAM_MAGIC = b"DPTS"
 LATENT_MAGIC = b"LTEN"
 FLOATS_MAGIC = b"LFLT"
 STREAM_VERSION = 1
-ARITHMETIC_PROFILE = 1
+ARITHMETIC_PROFILE = 2
 
 _STREAM_HEAD = struct.Struct("<4sBBBB3IB")
 _INT64_MAX = int(np.iinfo(np.int64).max)

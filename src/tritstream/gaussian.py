@@ -25,13 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import ndtr, ndtri
 
 __all__ = [
     "TAIL_EPSILON",
     "SIGMA_MIN",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "interval_exponent",
     "ElementModel",
     "build_element_model",
@@ -50,16 +49,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # One-sided z covering 1 - TAIL_EPSILON of the standard normal.  Evaluated
 # at the small-p end; 1 - TAIL_EPSILON itself is 7 ulps wide near 1.0.
 _TAIL_Z = float(-ndtri(TAIL_EPSILON))
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF; accepts scalars or arrays."""
-    return ndtr(x)
-
-
-def std_normal_quantile(p):
-    """Inverse standard normal CDF; accepts scalars or arrays."""
-    return ndtri(p)
 
 
 def interval_exponent(sigma, base: int):
@@ -93,24 +82,38 @@ def _interval_offset(exponents, base: int):
     return -(2 ** (exponents - 1)) + 1
 
 
-def _bin_masses(sig_col: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Masses of integer bins `grid` under N(0, sig) with tail-safe evaluation.
+def _bin_masses(sig_col: np.ndarray, width: int) -> np.ndarray:
+    """Masses of the integer bins of a width-`width` interval under N(0, sig).
 
-    sig_col is (n, 1), grid is (w,); returns (n, w) rows that sum to ~1 before
-    normalization.  Every bin is a difference of two upper-tail values
-    ndtr(-(a / sig)) at the half-integer edges a = |m| - 0.5 and |m| + 0.5,
-    so far-out bins keep small positive masses, bins m and -m get
-    bit-identical values, and the CDF is evaluated once per distinct edge.
+    sig_col is (n, 1); returns (n, width) rows over the interval's integers
+    (see _interval_offset) that sum to ~1 before normalization.  Every bin
+    m != 0 is a difference of two upper-tail values ndtr(-(a / sig)) at the
+    half-integer edges a = |m| - 0.5 and |m| + 0.5, so far-out bins keep
+    small positive masses and the CDF is evaluated once per distinct edge.
+    The bins right of zero are those differences in order; the bins left of
+    it are a mirrored copy of them, so bins m and -m are bit-identical.
     """
-    mag = np.abs(grid).astype(np.int64)
-    edges = np.arange(int(mag.max()) + 1, dtype=np.float64) + 0.5
+    half = width // 2
+    zero = width - 1 - half
+    edges = np.arange(half + 1, dtype=np.float64) + 0.5
     tail = ndtr(-(edges / sig_col))
-    inner = np.maximum(mag - 1, 0)
-    rows = tail.take(inner, axis=1) - tail.take(mag, axis=1)
-    zero = np.flatnonzero(mag == 0)
-    if zero.size:
-        rows[:, zero] = 1.0 - 2.0 * tail[:, :1]
+    rows = np.empty((sig_col.shape[0], width), dtype=np.float64)
+    right = rows[:, zero + 1:]
+    np.subtract(tail[:, :-1], tail[:, 1:], out=right)
+    rows[:, zero] = 1.0 - 2.0 * tail[:, 0]
+    rows[:, :zero] = right[:, :zero][:, ::-1]
     return rows
+
+
+def _windows(flat: np.ndarray, width: int, writeable: bool = False) -> np.ndarray:
+    """A (flat.size - width + 1, width) view whose row k is flat[k:k + width].
+
+    Indexing its first axis with an array of starts gathers (or, writeable,
+    scatters) one row per start without an (n, width) index array.
+    """
+    step = flat.strides[0]
+    return as_strided(flat, (flat.size - width + 1, width), (step, step),
+                      writeable=writeable)
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,10 @@ class ModelBank:
     @property
     def size(self) -> int:
         return self.sigmas.size
+
+    def windows(self, width: int) -> np.ndarray:
+        """Read-only view of masses_flat whose row k is masses_flat[k:k + width]."""
+        return _windows(self.masses_flat, width)
 
     def element_masses(self, i: int) -> np.ndarray:
         s = self.starts[i]
@@ -211,14 +218,13 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
             continue
         members = np.flatnonzero(exponents == ell)
         w = base ** ell
-        cols = np.arange(w)
-        grid = (_interval_offset(ell, base) + cols).astype(np.float64)
+        win = _windows(flat, w, writeable=True)
         step = max(1, _BLOCK_ENTRIES // w)
         for a in range(0, count, step):
             blk = members[a:a + step]
-            rows = _bin_masses(sig[blk, None], grid)
+            rows = _bin_masses(sig[blk, None], w)
             rows /= rows.sum(axis=1, keepdims=True)
-            flat[starts[blk, None] + cols] = rows
+            win[starts[blk]] = rows
 
     return ModelBank(
         base=base,

@@ -54,27 +54,30 @@ def _alg_rows(p: np.ndarray, base: int):
 
     Returns (q, dr, dd): per-row branch PMF (n, base), entropy in bits (n,),
     and the change in conditional variance (n,).  Rows need not be
-    normalized; every statistic is scaled by the row total.  The position
-    grid is 0..w-1 regardless of the true integer values: both statistics
-    are shift-invariant.
+    normalized; every statistic is scaled by the row total.
+
+    Coding the digit replaces the interval variance by the mean subrange
+    variance; by the law of total variance the difference is minus the
+    variance of the subrange means, sum_d q_d (mu_d - m)^2.  Each mu_d is
+    taken over positions 0..sub-1 within its subrange and shifted by d*sub,
+    so one weighted pass over p suffices and no two large second moments
+    are subtracted.
     """
     w = p.shape[1]
-    y = np.arange(w, dtype=np.float64)
-    py = p * y
-    py2 = py * y
+    sub = w // base
+    y = np.tile(np.arange(sub, dtype=np.float64), base)
     t = row_sum(p)
-    m = row_sum(py) / t
-    d_cur = row_sum(py2) / t - m * m
     s = split_row_sum(p, base)
-    sy = split_row_sum(py, base)
-    sy2 = split_row_sum(py2, base)
+    sy = split_row_sum(p * y, base)
     mb = np.zeros_like(s)
     np.divide(sy, s, out=mb, where=s > 0.0)
-    d_next = row_sum(sy2 - mb * mb * s) / t
+    mb += np.arange(0, w, sub, dtype=np.float64)
     q = s / t
+    m = row_sum(q * mb)
+    mb -= m
+    between = row_sum(q * mb * mb)
     dr = row_sum(xlogy(q, q)) / (-math.log(2.0))
-    dd = d_next - d_cur
-    return q, dr[:, 0], dd[:, 0]
+    return q, dr[:, 0], -between[:, 0]
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,14 @@ def plane_priorities_vectorized(bank: ModelBank, state: IntervalState,
     active = _active_rows(state, plane)
     width = bank.base ** (bank.l_max - plane)
     first = (bank.starts + state.lo)[active]
-    cols = np.arange(width)
+    windows = bank.windows(width)
     q = np.empty((active.size, bank.base), dtype=np.float64)
     dr = np.empty(active.size, dtype=np.float64)
     dd = np.empty(active.size, dtype=np.float64)
     step = max(1, _BLOCK_ENTRIES // width)
     for a in range(0, active.size, step):
         b = a + step
-        p = bank.masses_flat[first[a:b, None] + cols]
-        q[a:b], dr[a:b], dd[a:b] = _alg_rows(p, bank.base)
+        q[a:b], dr[a:b], dd[a:b] = _alg_rows(windows[first[a:b]], bank.base)
     return _assemble(plane, active, q, dr, dd)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import entropy_bits
 from tritstream.errors import CorruptionError
@@ -30,6 +30,29 @@ def _skewed_tables(n: int, base: int, seed: int, alpha: float = 1.0) -> np.ndarr
         tables = quantize_pmf_rows(rng.dirichlet(np.full(base, alpha), size=2 * n))
         kept.append(tables[(tables > 0).sum(axis=1) >= 2])
     return np.concatenate(kept)[:n]
+
+
+def _argsort_quantize(rows) -> np.ndarray:
+    """quantize_pmf_rows as first written: leftover units by a per-row argsort."""
+    rows = np.asarray(rows, dtype=np.float64)
+    kept = np.where(rows >= MASS_FLOOR, rows, 0.0)
+    scaled = (kept / kept.sum(axis=1, keepdims=True)) * TABLE_TOTAL
+    freqs = np.floor(scaled).astype(np.uint32)
+    short = TABLE_TOTAL - freqs.sum(axis=1, dtype=np.int64)
+    frac = scaled - np.floor(scaled)
+    order = np.argsort(-frac, axis=1, kind="stable")
+    take = np.arange(rows.shape[1])[None, :] < short[:, None]
+    rr = np.broadcast_to(np.arange(rows.shape[0])[:, None], order.shape)
+    freqs[rr[take], order[take]] += 1
+    return freqs
+
+
+# Raw row entries: exact thirds and halves give tied fractional parts, and
+# the sub-floor values are zeroed before apportionment.
+_MASS = st.one_of(
+    st.sampled_from([0.0, MASS_FLOOR / 2, MASS_FLOOR, 0.25, 1 / 3, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
 
 
 class TestQuantize:
@@ -67,6 +90,27 @@ class TestQuantize:
         assert freqs.sum(axis=1).tolist() == [TABLE_TOTAL] * 16
         # freq > 0 exactly where the raw mass reached the floor
         assert np.array_equal(freqs > 0, rows >= MASS_FLOOR)
+
+    @given(st.integers(2, 9).flatmap(
+        lambda w: st.lists(st.lists(_MASS, min_size=w, max_size=w), min_size=1, max_size=12)))
+    @example([[1 / 3] * 3])
+    @example([[0.5, 0.5]])
+    @example([[1 / 3, 1 / 3, 1 / 3, MASS_FLOOR / 2], [MASS_FLOOR / 2, 0.5, 0.5, 0.0]])
+    def test_matches_argsort_reference(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        assume(np.all((rows >= MASS_FLOOR).any(axis=1)))
+        got = quantize_pmf_rows(rows)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, _argsort_quantize(rows))
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_matches_argsort_reference_on_many_rows(self, base):
+        rng = np.random.default_rng(base)
+        rows = rng.dirichlet(np.full(base, 0.3), size=20000)
+        rows[::5] = 1.0 / base
+        rows[1::7, 0] = MASS_FLOOR / 3
+        rows[1::7, 1] += 0.5
+        assert np.array_equal(quantize_pmf_rows(rows), _argsort_quantize(rows))
 
     @given(st.integers(0, 10 ** 6))
     def test_quantization_error_bound(self, seed):

@@ -7,7 +7,11 @@ so; `python tests/test_golden.py` prints the current table.
 
 The cases cover both bases, both sigma storage modes, and inputs with a
 tenth of their values moved outside the canonical range, so the encoder's
-clamping and zero-frequency snapping are part of what is pinned.
+clamping and zero-frequency snapping are part of what is pinned.  The
+`priorities` kind pins, plane by plane of the encoder's walk, the coding
+order, the quantized tables and both rate and distortion statistics, so a
+change to the priority arithmetic shows there even where it moves no
+stream byte.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import tritstream.codec as codec
 from tritstream import (
     Shape,
     SynthConfig,
@@ -39,20 +44,28 @@ CASES = {
 
 GOLDEN = {
     "encode": {
-        "b2-m0": "f922c41c18c3d6f95938acb3b9cddd523b3e9c7bedb795b5c891c2aa4c9bf46e",
-        "b2-m0-outside": "c23f06293c08ce9b572b4b3bf3515227f03dfd89eee4ed94ec51137983557ddc",
-        "b2-m1": "755a58468b6485637fd2fca80751b5edc78ac6310da4af2a1e46518ad6968609",
-        "b3-m0": "4d9530c717f14f3be59f3ab1622a6564c98286e1d73bfa6004bd44c2a5d098a5",
-        "b3-m1": "3221d767b07e233d344d182b40e2dc15ccf0f710ca11bdc259bffe21df0a7d79",
-        "b3-m1-outside": "4d7341918eec9f2314c5dd966ac6d33cd2ad451c627d0ee477836a498dd02312",
+        "b2-m0": "7f151ede8b85f34635614f470cd4dd44afd32033a76cbfe168ef7c8317637a4a",
+        "b2-m0-outside": "ab657d9670b48eabba9932700b80574aa0fde8a230c587fa6649a6729ff26075",
+        "b2-m1": "dd19de0b2ca4775d2cdfb299211cd480eef6a27f33d0ff9172bd0a47a0f7a924",
+        "b3-m0": "3eb488570a758abd7c79d0a47c86f10ac24024fdf1b0952a937753b69747edd9",
+        "b3-m1": "33898890ae81e258a71486f38ed00dd086093159f310015ed3d10ceb752a3697",
+        "b3-m1-outside": "4db938a9ee7ed5e24fa55dae168f1b8025c7d8cf03979b783efe7ec3a6bd7db4",
     },
     "rd_trace": {
-        "b2-m0": "b6ebc3095282932698d5e4921803dcec5dfda1ed853413d58cb0d6db8a18ab00",
-        "b2-m0-outside": "aed67b799168d3239ed55da486c28d3974d66e54bb27d3b1f8f07987c521aa37",
-        "b2-m1": "87b2b38bbeeda09112d16e42c2d46b547a5de526cbec5b9767ee4ce0529cd340",
-        "b3-m0": "c5a3528f6e5d8581e547666ecb9e3bbe11587e95485d7838c09fecb4ec5f700c",
-        "b3-m1": "5da6178bc92a78ae851b0c879f07a0a77175f275870447f02fbb3f91bd360993",
-        "b3-m1-outside": "d22909c7dd4d98f64ac61ca6fe1ab6f0fd183afc414defa28bed0ccc118812df",
+        "b2-m0": "e24adfcebcffb6cc04e29a83327f3d931a90d504c79c721c1bdb094f41de45d2",
+        "b2-m0-outside": "ff4d5a206806dde10f58f7e4e07fd2cb438803605ae494e51a5ec9eaeda38fc5",
+        "b2-m1": "da0e909b2cf069653e1c071b35e32ff020b969c0feccd034989b87a102406053",
+        "b3-m0": "2c6277d0c4aaaf3c0f1b1b3d9b11f7c10d7845633e3adb2beea907f7044860ca",
+        "b3-m1": "89933c3f7796f9c32d419307aa5b97209d2386ba89f5a670af473d22dc13b0c9",
+        "b3-m1-outside": "6169dd8ece24026a2a2aee07201047dbfa2f903e0e8780a066438eeb4a8c0d87",
+    },
+    "priorities": {
+        "b2-m0": "f7d3b933f336a091fa550986f18166d24b4f516bb808b9b4df03523afc0bc998",
+        "b2-m0-outside": "43c6e413d6bd59c0e3496ef3d0afcd97f8e903a44e1b2ed23d936f5b87c58586",
+        "b2-m1": "27d75e58df8a7773c357700f73d9d8143006a2b4e3ba8b5a1198bf6436d214ff",
+        "b3-m0": "825980036ca13ba60d8837855560ab67e15eae73ad08b2cf13cf225c69966129",
+        "b3-m1": "487d206fbb3ca2951c1165e827d98a9a6007618c8b3e3b213d86bb3a16734929",
+        "b3-m1-outside": "76c795e5e8152177bfdcc435032c258ed08edb97341a71dd9655de7adfaebf47",
     },
     "canonicalize": {
         "b2-m0": "4a53e2a2211306ed48e01f7d2eb75a1dd04737e69c0d305efa289c4964c2e27b",
@@ -91,6 +104,23 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
+def _encode_priorities(values, sigmas, base, sigma_mode):
+    """The priorities of every plane the encoder's walk computes, in order."""
+    impl = codec.PRIORITY_IMPLS["vectorized"]
+    seen = []
+
+    def spy(bank, state, plane):
+        seen.append(impl(bank, state, plane))
+        return seen[-1]
+
+    codec.PRIORITY_IMPLS["vectorized"] = spy
+    try:
+        encode(values, sigmas, base=base, sigma_mode=sigma_mode)
+    finally:
+        codec.PRIORITY_IMPLS["vectorized"] = impl
+    return seen
+
+
 def _digest(kind, name) -> str:
     values, sigmas, base, sigma_mode = _inputs(name)
     if kind == "encode":
@@ -99,6 +129,12 @@ def _digest(kind, name) -> str:
         points, stream = rd_trace(values, sigmas, base=base,
                                   sigma_mode=sigma_mode, group=16)
         return _sha(points.astype("<f8"), stream)
+    if kind == "priorities":
+        parts = []
+        for pr in _encode_priorities(values, sigmas, base, sigma_mode):
+            parts += [pr.order.astype("<i8"), pr.tables.astype("<u4"),
+                      pr.delta_r.astype("<f8"), pr.delta_d.astype("<f8")]
+        return _sha(*parts)
     if kind == "canonicalize":
         out = canonicalize(values, sigmas, base=base, sigma_mode=sigma_mode)
         return _sha(out.astype("<i8"))
@@ -114,7 +150,7 @@ def _digest(kind, name) -> str:
     return _sha(*parts)
 
 
-KINDS = ("encode", "rd_trace", "canonicalize", "decode_prefixes")
+KINDS = ("encode", "rd_trace", "priorities", "canonicalize", "decode_prefixes")
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tritstream.codec as codec
 import tritstream.gaussian as gaussian
 import tritstream.priority as priority
 from conftest import interval_moments_oracle
@@ -44,6 +46,40 @@ class TestDigitEntropy:
         assert digit_entropy([1.0, 0.0, 0.0]) == 0.0
         assert digit_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, rel=1e-15)
         assert digit_entropy([0.5, 0.5]) == pytest.approx(1.0, rel=1e-15)
+
+
+def _two_moment_delta_d(p: np.ndarray, base: int) -> np.ndarray:
+    """delta_d of arithmetic profile 1: mean subrange variance minus the
+    interval variance, each from second moments over positions 0..w-1."""
+    w = p.shape[1]
+    y = np.arange(w, dtype=np.float64)
+    py = p * y
+    py2 = py * y
+    t = p.sum(axis=1, keepdims=True)
+    m = py.sum(axis=1, keepdims=True) / t
+    d_cur = py2.sum(axis=1, keepdims=True) / t - m * m
+    s = p.reshape(-1, base, w // base).sum(axis=2)
+    sy = py.reshape(-1, base, w // base).sum(axis=2)
+    sy2 = py2.reshape(-1, base, w // base).sum(axis=2)
+    mb = np.zeros_like(s)
+    np.divide(sy, s, out=mb, where=s > 0.0)
+    d_next = (sy2 - mb * mb * s).sum(axis=1, keepdims=True) / t
+    return (d_next - d_cur)[:, 0]
+
+
+def _exact_delta_d(row, base: int) -> float:
+    """delta_d of one row in exact rational arithmetic."""
+    p = [Fraction(float(x)) for x in row]
+    sub = len(p) // base
+
+    def spread(part, first):
+        total = sum(part)
+        mean = sum(x * (first + j) for j, x in enumerate(part)) / total
+        return sum(x * (first + j - mean) ** 2 for j, x in enumerate(part))
+
+    within = sum(spread(p[d * sub:(d + 1) * sub], d * sub)
+                 for d in range(base) if sum(p[d * sub:(d + 1) * sub]))
+    return float((within - spread(p, 0)) / sum(p))
 
 
 class TestAlgRows:
@@ -87,6 +123,35 @@ class TestAlgRows:
         assert dd[0] == pytest.approx(d_next - var0, rel=1e-9)
         q = np.asarray(weights) / math.fsum(weights)
         assert dr[0] == pytest.approx(digit_entropy(q), rel=1e-9)
+
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_delta_d_matches_two_moment_formula(self, base):
+        rng = np.random.default_rng(base)
+        for ell in range(1, 7 if base == 2 else 5):
+            w = base ** ell
+            p = rng.random((60, w))
+            p[::4, :w // base] = 0.0          # an empty subrange
+            p[1::4] **= 8                     # skewed rows
+            _, _, dd = _alg_rows(p, base)
+            old = _two_moment_delta_d(p, base)
+            assert np.all(np.abs(dd - old) <= 1e-12 * np.maximum(1.0, np.abs(old)))
+
+    @pytest.mark.parametrize("base,w", [(2, 256), (3, 243)])
+    def test_delta_d_exact_on_concentrated_rows(self, base, w):
+        # Mass concentrated far from position 0: the two-moment formula
+        # subtracts second moments near centre**2 and keeps only about
+        # 1e-11 relative accuracy; minus the between-subrange variance
+        # stays within a few ulps.
+        rng = np.random.default_rng(w)
+        y = np.arange(w)
+        for _ in range(6):
+            centre, sd = rng.uniform(0.3 * w, 0.9 * w), rng.uniform(0.5, 4.0)
+            p = np.exp(-0.5 * ((y - centre) / sd) ** 2)[None, :]
+            _, _, dd = _alg_rows(p, base)
+            exact = _exact_delta_d(p[0], base)
+            assert dd[0] <= 0.0
+            assert abs(dd[0] - exact) <= 1e-14 * max(1.0, abs(exact))
 
 
 class TestSingleElementOps:
@@ -217,12 +282,14 @@ class TestPlanePriorities:
 
 
 class TestBlocks:
-    """The bounded blocks of the model build and the priorities change no bit."""
+    """The bounded blocks of the model build, the priorities and the interval
+    moments change no bit."""
 
     @staticmethod
-    def _walk(sig, base, monkeypatch, bank_block, prio_block):
+    def _walk(sig, base, monkeypatch, bank_block, prio_block, moment_block):
         monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", bank_block)
         monkeypatch.setattr(priority, "_BLOCK_ENTRIES", prio_block)
+        monkeypatch.setattr(codec, "_BLOCK_ENTRIES", moment_block)
         seen = []
         assemble = priority._assemble
 
@@ -230,27 +297,34 @@ class TestBlocks:
             seen.append((q.copy(), dr.copy(), dd.copy()))
             return assemble(plane, active, q, dr, dd)
 
+        def moments(state):
+            ids = np.arange(bank.size)
+            return codec._interval_moments(bank, ids, state.lo, state.widths(),
+                                           state.applied == 0)
+
         monkeypatch.setattr(priority, "_assemble", spy)
         bank = build_model_bank(sig, base)
         vals = bank.offsets + np.random.default_rng(1).integers(0, bank.lengths)
         stack = slice_latent(vals, bank)
         state = IntervalState.initial(bank)
-        planes = []
+        planes = [moments(state)]
         for n in range(bank.l_max):
             pr = plane_priorities_vectorized(bank, state, n)
             planes.append((pr.tables, pr.order, pr.coded_tables) + seen[-1])
             ids = state.active_ids(n)
             state.apply_plane_digits(n, ids, stack.planes[n, ids])
+            planes.append(moments(state))
         return bank.masses_flat, planes
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_tiny_blocks_match_one_block(self, base, monkeypatch):
         rng = np.random.default_rng(base)
         sig = np.exp(rng.uniform(np.log(0.05), np.log(9.0), size=301))
-        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40)
-        # 50 and 40 entries: many blocks per exponent group and per plane,
-        # single-row blocks for the widest rows, and a ragged last block.
-        flat, blocked = self._walk(sig, base, monkeypatch, 50, 40)
+        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40, 1 << 40)
+        # 50, 40 and 30 entries: many blocks per exponent group, per plane
+        # and per width group, single-row blocks for the widest rows, and a
+        # ragged last block.
+        flat, blocked = self._walk(sig, base, monkeypatch, 50, 40, 30)
         assert np.array_equal(flat, one_flat)
         assert len(blocked) == len(one)
         for got, want in zip(blocked, one):

@@ -19,7 +19,7 @@ from .codec import (
 )
 from .errors import CorruptionError, FormatError, TritstreamError
 from .gaussian import ElementModel, ModelBank, build_element_model, build_model_bank
-from .reduction import Shape
+from .formats import Shape
 from .synth import SynthConfig, generate, mc_distortion_oracle
 
 __version__ = "0.1.0"

@@ -35,6 +35,13 @@ def _bases_arg(text: str) -> tuple[int, ...]:
     return bases
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -106,7 +113,7 @@ def _build_parser() -> _Parser:
     curve.add_argument("output")
     curve.add_argument("--bases", type=_bases_arg, default=(2, 3))
     curve.add_argument("--sigma-mode", type=int, choices=(0, 1), default=1)
-    curve.add_argument("--group", type=int, default=256)
+    curve.add_argument("--group", type=_positive_int, default=256)
     curve.set_defaults(func=_cmd_rd_curve)
     return parser
 

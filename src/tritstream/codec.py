@@ -43,10 +43,9 @@ import numpy as np
 
 from .entropy import RangeEncoder, decode_digits
 from .errors import CorruptionError, FormatError
-from .formats import pack_stream_header, parse_stream_header, stream_header_size
+from .formats import Shape, pack_stream_header, parse_stream_header, stream_header_size
 from .gaussian import ElementModel, ModelBank, build_model_bank, interval_exponent
 from .priority import plane_priorities_naive, plane_priorities_vectorized
-from .reduction import Shape
 from .slicing import IntervalState
 
 __all__ = [
@@ -346,7 +345,11 @@ def decode(stream: bytes, sigmas=None, *,
     """Decode a stream or any header-preserving byte prefix of one."""
     priority_fn = PRIORITY_IMPLS[priority_impl]
     hdr = parse_stream_header(stream)
+    # Embedded scales are stream bytes; out-of-band ones are an argument.
     if hdr.sigma_mode == 1:
+        # Checked as float32: numpy warns when it widens a signalling NaN.
+        if not (np.all(np.isfinite(hdr.sigmas)) and hdr.sigmas.min() > 0.0):
+            raise FormatError("scales must be positive finite numbers")
         bank_sig = hdr.sigmas.astype(np.float64)
     else:
         if sigmas is None:
@@ -355,11 +358,9 @@ def decode(stream: bytes, sigmas=None, *,
         if sig.size != hdr.shape.size:
             raise ValueError("scale count does not match the stream dimensions")
         bank_sig = sig.ravel()
+        if not (bank_sig.min() > 0.0 and bank_sig.max() < np.inf):
+            raise ValueError("scales must be positive finite numbers")
     largest = float(bank_sig.max())
-    if not (bank_sig.min() > 0.0 and largest < np.inf):
-        # Embedded scales are stream bytes; out-of-band ones are an argument.
-        error = FormatError if hdr.sigma_mode == 1 else ValueError
-        raise error("scales must be positive finite numbers")
     # The exponent grows with the scale, so the largest scale sets l_max.
     # Checking it first keeps a forged scale from sizing the mass table.
     if interval_exponent(largest, hdr.base) != hdr.l_max:

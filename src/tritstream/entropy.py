@@ -30,12 +30,9 @@ from .errors import CorruptionError
 __all__ = [
     "MASS_FLOOR",
     "TABLE_TOTAL",
-    "quantize_pmf",
     "quantize_pmf_rows",
     "RangeEncoder",
-    "encode_digits",
     "decode_digits",
-    "CodedChunk",
     "DecodeResult",
 ]
 
@@ -84,11 +81,6 @@ def quantize_pmf_rows(rows: np.ndarray) -> np.ndarray:
     return freqs
 
 
-def quantize_pmf(pmf) -> np.ndarray:
-    """Quantize a single PMF; see quantize_pmf_rows."""
-    return quantize_pmf_rows(np.asarray(pmf, dtype=np.float64)[None, :])[0]
-
-
 class RangeEncoder:
     """Byte-oriented carry-less range encoder over TABLE_TOTAL-sum tables."""
 
@@ -130,52 +122,12 @@ class RangeEncoder:
 
 
 @dataclass(frozen=True)
-class CodedChunk:
-    """One plane's payload: coded bytes plus how many digits went in."""
-
-    data: bytes
-    symbol_count: int
-
-
-@dataclass(frozen=True)
 class DecodeResult:
     """Digits recovered from a (possibly truncated) chunk prefix."""
 
     digits: np.ndarray
     consumed: int
     exhausted: bool
-
-
-def _cum_rows(tables: np.ndarray) -> np.ndarray:
-    cums = np.zeros((tables.shape[0], tables.shape[1] + 1), dtype=np.int64)
-    np.cumsum(tables, axis=1, out=cums[:, 1:])
-    return cums
-
-
-def encode_digits(digits, tables) -> CodedChunk:
-    """Encode digits[i] under tables[i] (one frequency row per digit).
-
-    Every digit must sit in a bin with a positive frequency; an empty digit
-    array yields an empty chunk.
-    """
-    digits = np.asarray(digits)
-    tables = np.asarray(tables, dtype=np.uint32)
-    n = digits.size
-    if n == 0:
-        return CodedChunk(data=b"", symbol_count=0)
-    if tables.ndim != 2 or tables.shape[0] != n:
-        raise ValueError("one frequency table per digit is required")
-    freq_l = tables.tolist()
-    cum_l = _cum_rows(tables).tolist()
-    dig_l = digits.tolist()
-    enc = RangeEncoder()
-    for i in range(n):
-        d = dig_l[i]
-        f = freq_l[i][d]
-        if f == 0:
-            raise ValueError("digit falls in a zero-frequency bin")
-        enc.encode(cum_l[i][d], f)
-    return CodedChunk(data=enc.finish(), symbol_count=n)
 
 
 def decode_digits(data: bytes, tables, count: int) -> DecodeResult:
@@ -194,7 +146,9 @@ def decode_digits(data: bytes, tables, count: int) -> DecodeResult:
     # Row i of the cumulative table starts at cums[i * stride]; symbol s of
     # that row spans [cums[row + s], cums[row + s + 1]).
     stride = tables.shape[1] + 1
-    cums = _cum_rows(tables[:count]).ravel().tolist()
+    cum_rows = np.zeros((count, stride), dtype=np.int64)
+    np.cumsum(tables[:count], axis=1, out=cum_rows[:, 1:])
+    cums = cum_rows.ravel().tolist()
     size = len(data)
     code = pad = 0
     for k in range(4):

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .reduction import Shape
 
 __all__ = [
+    "Shape",
     "STREAM_MAGIC",
     "STREAM_VERSION",
     "ARITHMETIC_PROFILE",
@@ -64,6 +64,26 @@ ARITHMETIC_PROFILE = 2
 _STREAM_HEAD = struct.Struct("<4sBBBB3IB")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _TENSOR_HEAD = struct.Struct("<4sB3I")
+
+
+@dataclass(frozen=True)
+class Shape:
+    """Dimensions of a latent tensor: (channels, height, width), row-major."""
+
+    channels: int
+    height: int
+    width: int
+
+    def __post_init__(self):
+        if min(self.channels, self.height, self.width) <= 0:
+            raise ValueError(f"all dimensions must be positive, got {self.astuple()}")
+
+    def astuple(self):
+        return (self.channels, self.height, self.width)
+
+    @property
+    def size(self) -> int:
+        return self.channels * self.height * self.width
 
 
 @dataclass(frozen=True)

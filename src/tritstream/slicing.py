@@ -1,4 +1,4 @@
-"""Digit-plane slicing of integer latents and the interval refinement state.
+"""The interval refinement state of digit-plane coding.
 
 A latent value y with model interval [offset, offset + base**L) is rebased to
 j = y - offset and expanded in base `base`, padded with leading zeros to the
@@ -18,60 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptionError
 from .gaussian import ModelBank
 
-__all__ = [
-    "PlaneStack",
-    "slice_latent",
-    "unslice",
-    "IntervalState",
-    "refine",
-]
-
-
-@dataclass(frozen=True)
-class PlaneStack:
-    """Digit planes for a tensor: planes[n, i] is element i's digit at plane n."""
-
-    base: int
-    l_max: int
-    planes: np.ndarray  # uint8, shape (l_max, size)
-
-    @property
-    def size(self) -> int:
-        return self.planes.shape[1]
-
-
-def slice_latent(values, bank: ModelBank) -> PlaneStack:
-    """Expand integer latents into base-b digit planes, padded to l_max digits."""
-    vals = np.asarray(values, dtype=np.int64).ravel()
-    if vals.size != bank.size:
-        raise ValueError(f"got {vals.size} values for {bank.size} models")
-    rem = vals - bank.offsets
-    if np.any(rem < 0) or np.any(rem >= bank.lengths):
-        raise ValueError("latent value outside its model interval")
-    planes = np.empty((bank.l_max, bank.size), dtype=np.uint8)
-    for n in range(bank.l_max - 1, -1, -1):
-        planes[n] = rem % bank.base
-        rem //= bank.base
-    return PlaneStack(base=bank.base, l_max=bank.l_max, planes=planes)
-
-
-def unslice(stack: PlaneStack, bank: ModelBank) -> np.ndarray:
-    """Invert slice_latent, verifying digit ranges and dormant-plane zeros."""
-    if stack.base != bank.base or stack.l_max != bank.l_max:
-        raise ValueError("plane stack does not match the model bank")
-    if stack.planes.shape != (bank.l_max, bank.size):
-        raise ValueError("plane array has the wrong shape")
-    if np.any(stack.planes >= bank.base):
-        raise CorruptionError("digit out of range for the base")
-    j = np.zeros(bank.size, dtype=np.int64)
-    for n in range(bank.l_max):
-        j = j * bank.base + stack.planes[n]
-    if np.any(j >= bank.lengths):
-        raise CorruptionError("nonzero digit in a dormant plane")
-    return bank.offsets + j
+__all__ = ["IntervalState"]
 
 
 @dataclass
@@ -99,10 +48,6 @@ class IntervalState:
             applied=np.zeros(bank.size, dtype=np.int64),
         )
 
-    @property
-    def size(self) -> int:
-        return self.lo.size
-
     def widths(self) -> np.ndarray:
         return np.asarray(self.base, dtype=np.int64) ** (self.exponents - self.applied)
 
@@ -119,23 +64,3 @@ class IntervalState:
         sub = self.base ** (self.l_max - plane - 1)
         self.lo[ids] += np.asarray(digits, dtype=np.int64) * sub
         self.applied[ids] += 1
-
-    def copy(self) -> "IntervalState":
-        return IntervalState(
-            base=self.base,
-            l_max=self.l_max,
-            exponents=self.exponents,
-            lo=self.lo.copy(),
-            applied=self.applied.copy(),
-        )
-
-
-def refine(state: IntervalState, element: int, digit: int) -> None:
-    """Apply one more digit to a single element's interval."""
-    if state.applied[element] >= state.exponents[element]:
-        raise ValueError("interval already has width 1")
-    if not 0 <= digit < state.base:
-        raise ValueError(f"digit {digit} out of range for base {state.base}")
-    plane = int(state.l_max - state.exponents[element] + state.applied[element])
-    ids = np.asarray([element])
-    state.apply_plane_digits(plane, ids, np.asarray([digit]))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _canonicalize
+from .formats import Shape
 from .gaussian import SIGMA_MIN, ElementModel, build_model_bank
-from .reduction import Shape
 
 __all__ = ["SynthConfig", "generate", "mc_distortion_oracle"]
 

@@ -1,13 +1,16 @@
 """Shared oracle helpers, kept independent of the package's numerics.
 
-Everything here goes through math.erf or plain Python sums so that a bug in
-the scipy-based production path cannot cancel out of a test.
+The oracles go through math.erf, plain Python sums or integer arithmetic so
+that a bug in the scipy-based production path cannot cancel out of a test.
+range_encode only drives the package's RangeEncoder over whole digit lists.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from tritstream.entropy import RangeEncoder
 
 
 def phi(x: float) -> float:
@@ -39,6 +42,24 @@ def interval_moments_oracle(sigma: float, members) -> tuple[float, float]:
 
 def entropy_bits(pmf) -> float:
     return -math.fsum(p * math.log2(p) for p in pmf if p > 0.0)
+
+
+def digit_planes(values, bank) -> np.ndarray:
+    """(l_max, size) base-b digits of each value's offset into its interval,
+    most significant first; planes before an element's own are zero."""
+    j = np.asarray(values, dtype=np.int64).ravel() - bank.offsets
+    n = np.arange(bank.l_max)[:, None]
+    return (j // bank.base ** (bank.l_max - 1 - n)) % bank.base
+
+
+def range_encode(digits, tables) -> bytes:
+    """Range-code digits[i] under the frequency row tables[i]."""
+    cums = np.cumsum(tables, axis=1, dtype=np.int64) - tables
+    enc = RangeEncoder()
+    for d, cum, freq in zip(np.asarray(digits).tolist(), cums.tolist(),
+                            np.asarray(tables).tolist()):
+        enc.encode(cum[d], freq[d])
+    return enc.finish()
 
 
 @pytest.fixture

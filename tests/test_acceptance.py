@@ -20,11 +20,12 @@ from tritstream import (
     mc_distortion_oracle,
     truncate,
 )
+from conftest import digit_planes, range_encode
 from tritstream import codec
-from tritstream.entropy import decode_digits, encode_digits, quantize_pmf_rows
+from tritstream.entropy import decode_digits, quantize_pmf_rows
 from tritstream.gaussian import build_model_bank
 from tritstream.priority import plane_priorities_naive, plane_priorities_vectorized
-from tritstream.slicing import IntervalState, slice_latent
+from tritstream.slicing import IntervalState
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
@@ -59,7 +60,7 @@ def test_02_naive_and_vectorized_priorities_agree():
                           int(rng.integers(1, 13)))
             values, sigmas = generate(SynthConfig(shape=shape, seed=3000 + k))
             bank = build_model_bank(sigmas.astype(np.float64).ravel(), base)
-            stack = slice_latent(values, bank)
+            digits = digit_planes(values, bank)
             state = IntervalState.initial(bank)
             for plane in range(bank.l_max):
                 a = plane_priorities_naive(bank, state, plane)
@@ -75,7 +76,7 @@ def test_02_naive_and_vectorized_priorities_agree():
                         rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
                         worst_rel = max(worst_rel, float(rel.max()))
                 state.apply_plane_digits(plane, b.active,
-                                         stack.planes[plane][b.active])
+                                         digits[plane][b.active])
     ok = mismatches == 0 and worst_rel <= 1e-9
     _report("02 priority-equivalence", ok,
             f"200 tensors, {mismatches} order mismatches, "
@@ -233,15 +234,15 @@ def test_09_long_stream_prefixes_decode_cleanly():
     cum = np.cumsum(tables, axis=1)
     draw = np.random.default_rng(43).integers(0, cum[:, -1])
     digits = (draw[:, None] < cum).argmax(axis=1).astype(np.uint8)
-    chunk = encode_digits(digits, tables)
-    sizes = list(range(0, len(chunk.data) + 1, 64))
-    if sizes[-1] != len(chunk.data):
-        sizes.append(len(chunk.data))
+    chunk = range_encode(digits, tables)
+    sizes = list(range(0, len(chunk) + 1, 64))
+    if sizes[-1] != len(chunk):
+        sizes.append(len(chunk))
     wrong = 0
     prev = 0
     monotone = True
     for size in sizes:
-        got = decode_digits(chunk.data[:size], tables, count).digits
+        got = decode_digits(chunk[:size], tables, count).digits
         wrong += int(np.count_nonzero(got != digits[:got.size]))
         if got.size < prev:
             monotone = False
@@ -249,5 +250,5 @@ def test_09_long_stream_prefixes_decode_cleanly():
     complete = prev == count
     ok = wrong == 0 and monotone and complete
     _report("09 prefix-decodability", ok,
-            f"{len(sizes)} prefixes of a {len(chunk.data)}-byte stream, "
+            f"{len(sizes)} prefixes of a {len(chunk)}-byte stream, "
             f"{wrong} wrong digits, full decode complete={complete}")

@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tritstream.formats import parse_stream_header, read_lflt, write_lten
-from tritstream.reduction import Shape
+from tritstream.formats import Shape, parse_stream_header, read_lflt, write_lten
 from tritstream.synth import SynthConfig, generate
 
 
@@ -103,6 +102,10 @@ class TestExitCodes:
         assert run_cli("encode", src, str(tmp_path / "x"),
                        "--base", "5").returncode == 1
         assert run_cli("frobnicate").returncode == 1
+        for group in ("0", "-3"):
+            r = run_cli("rd-curve", src, str(tmp_path / "c.csv"), "--group", group)
+            assert r.returncode == 1
+            assert "--group" in r.stderr
 
     def test_data_errors_are_exit_2(self, lten_path, tmp_path):
         src, _ = lten_path

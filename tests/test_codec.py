@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,15 @@ from tritstream.codec import (
     truncate,
 )
 from tritstream.errors import CorruptionError, FormatError
-from tritstream.formats import pack_stream_header, parse_stream_header, stream_header_size
+from tritstream.formats import Shape, pack_stream_header, parse_stream_header, stream_header_size
 from tritstream.gaussian import build_element_model, interval_exponent
-from tritstream.reduction import Shape
 from tritstream.synth import SynthConfig, generate
 
 D0_SIGMA1_BASE3 = 1.083333322361118  # mpmath oracle, see test_synth
+
+
+def _float32_bits(bits: int) -> np.float32:
+    return np.asarray([bits], dtype="<u4").view("<f4")[0]
 
 
 def _synth(shape, seed, **kw):
@@ -199,10 +204,18 @@ class TestDecodeErrors:
         assert len(stream) == 49
         return stream
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("scale", [
+        np.nan, np.inf, -1.0, 0.0,
+        # Signalling NaNs: numpy warns when it widens one to float64.
+        pytest.param(_float32_bits(0x7f800001), id="snan-0x7f800001"),
+        pytest.param(_float32_bits(0xff800001), id="snan-0xff800001"),
+    ])
     def test_invalid_embedded_scale_is_format_error(self, scale):
-        with pytest.raises(FormatError, match="scales"):
-            decode(self._with_scale(self._two_element_stream(), scale))
+        stream = self._with_scale(self._two_element_stream(), scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="scales"):
+                decode(stream)
 
     @pytest.mark.parametrize("scale", [3e38, 1e9])
     def test_forged_large_scale_fails_before_the_model_build(self, scale, monkeypatch):

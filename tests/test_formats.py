@@ -7,6 +7,7 @@ from tritstream.formats import (
     ARITHMETIC_PROFILE,
     STREAM_MAGIC,
     STREAM_VERSION,
+    Shape,
     pack_stream_header,
     parse_stream_header,
     read_lflt,
@@ -15,7 +16,6 @@ from tritstream.formats import (
     write_lflt,
     write_lten,
 )
-from tritstream.reduction import Shape
 
 
 def _header_bytes(base=3, sigma_mode=0, shape=Shape(2, 3, 4), l_max=5,
@@ -25,6 +25,18 @@ def _header_bytes(base=3, sigma_mode=0, shape=Shape(2, 3, 4), l_max=5,
     if sigma_mode == 1 and sigmas is None:
         sigmas = np.linspace(0.1, 8.0, shape.size, dtype="<f4")
     return pack_stream_header(base, sigma_mode, shape, l_max, lengths, sigmas)
+
+
+class TestShape:
+    def test_basic(self):
+        s = Shape(2, 3, 4)
+        assert s.astuple() == (2, 3, 4)
+        assert s.size == 24
+
+    @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
+    def test_rejects_nonpositive(self, dims):
+        with pytest.raises(ValueError):
+            Shape(*dims)
 
 
 class TestStreamHeader:

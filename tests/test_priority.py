@@ -8,20 +8,19 @@ from hypothesis import given, settings, strategies as st
 import tritstream.codec as codec
 import tritstream.gaussian as gaussian
 import tritstream.priority as priority
-from conftest import interval_moments_oracle
-from tritstream.entropy import TABLE_TOTAL
+from conftest import digit_planes, entropy_bits, interval_moments_oracle
+from tritstream.entropy import TABLE_TOTAL, quantize_pmf_rows
 from tritstream.errors import CorruptionError
 from tritstream.gaussian import build_model_bank
 from tritstream.priority import (
     _alg_rows,
     _assemble,
-    conditional_pmf,
-    delta_d,
-    digit_entropy,
     plane_priorities_naive,
     plane_priorities_vectorized,
+    row_sum,
+    split_row_sum,
 )
-from tritstream.slicing import IntervalState, refine, slice_latent
+from tritstream.slicing import IntervalState
 
 
 def _bank(sigmas, base):
@@ -31,21 +30,54 @@ def _bank(sigmas, base):
 def _random_state(bank, rng):
     """A plane-aligned partial refinement driven by in-model values."""
     vals = bank.offsets + rng.integers(0, bank.lengths)
-    stack = slice_latent(vals, bank)
+    planes = digit_planes(vals, bank)
     state = IntervalState.initial(bank)
     stop = rng.integers(0, bank.l_max + 1)
     for n in range(stop):
         ids = state.active_ids(n)
-        state.apply_plane_digits(n, ids, stack.planes[n, ids])
+        state.apply_plane_digits(n, ids, planes[n, ids])
     return state, int(stop)
+
+
+class TestRowSums:
+    def test_row_sum_shape_and_values(self, rng):
+        a = rng.standard_normal((5, 9))
+        out = row_sum(a)
+        assert out.shape == (5, 1)
+        for r in range(5):
+            assert out[r, 0] == pytest.approx(math.fsum(a[r]), rel=1e-12)
+
+    def test_split_row_sum_matches_contiguous_blocks(self, rng):
+        a = rng.standard_normal((4, 27))
+        out = split_row_sum(a, 3)
+        assert out.shape == (4, 3)
+        # Each part must reduce the same contiguous slice numpy would.
+        for r in range(4):
+            for k in range(3):
+                assert out[r, k] == a[r, 9 * k:9 * (k + 1)].sum()
+
+    def test_split_requires_divisible_width(self, rng):
+        with pytest.raises(ValueError):
+            split_row_sum(rng.standard_normal((2, 10)), 3)
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(2, 3))
+    def test_split_parts_recombine_to_row_sum(self, n, blocks, parts):
+        rng = np.random.default_rng(n * 100 + blocks * 10 + parts)
+        a = rng.standard_normal((n, parts * blocks))
+        total = split_row_sum(a, parts).sum(axis=1, keepdims=True)
+        assert np.allclose(total, row_sum(a), rtol=1e-12, atol=1e-12)
 
 
 class TestDigitEntropy:
     def test_frozen_values(self):
-        assert digit_entropy([1 / 3, 1 / 3, 1 / 3]) == pytest.approx(math.log2(3), rel=1e-15)
-        assert digit_entropy([1.0, 0.0, 0.0]) == 0.0
-        assert digit_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, rel=1e-15)
-        assert digit_entropy([0.5, 0.5]) == pytest.approx(1.0, rel=1e-15)
+        # delta_r of a row is the entropy of its subrange masses in bits.
+        def dr(row, base):
+            return _alg_rows(np.asarray([row]), base)[1][0]
+
+        assert dr([1 / 3, 1 / 3, 1 / 3], 3) == pytest.approx(math.log2(3), rel=1e-15)
+        assert dr([1.0, 0.0, 0.0], 3) == 0.0
+        assert dr([0.5, 0.25, 0.25], 3) == pytest.approx(1.5, rel=1e-15)
+        assert dr([0.5, 0.5], 2) == pytest.approx(1.0, rel=1e-15)
 
 
 def _two_moment_delta_d(p: np.ndarray, base: int) -> np.ndarray:
@@ -122,7 +154,7 @@ class TestAlgRows:
         d_next = math.fsum(parts) / math.fsum(weights)
         assert dd[0] == pytest.approx(d_next - var0, rel=1e-9)
         q = np.asarray(weights) / math.fsum(weights)
-        assert dr[0] == pytest.approx(digit_entropy(q), rel=1e-9)
+        assert dr[0] == pytest.approx(entropy_bits(q), rel=1e-9)
 
 
     @pytest.mark.parametrize("base", [2, 3])
@@ -156,31 +188,19 @@ class TestAlgRows:
 
 class TestSingleElementOps:
     def test_conditional_pmf_matches_block_sums(self):
+        # After digit 1 at plane 0 the interval is the middle third of the
+        # element's 27 masses; the next plane's statistics come from its
+        # three blocks of three.
         bank = _bank([2.2], 3)
         state = IntervalState.initial(bank)
-        refine(state, 0, 1)
-        pmf = conditional_pmf(bank, state, 0)
-        p = bank.element_masses(0)
-        block = p[9:18]
-        expect = block.reshape(3, 3).sum(axis=1) / block.sum()
-        np.testing.assert_allclose(pmf, expect, rtol=1e-12)
-        assert pmf.sum() == pytest.approx(1.0, rel=1e-12)
-
-    def test_conditional_pmf_on_refined_interval(self):
-        bank = _bank([0.2], 3)
-        state = IntervalState.initial(bank)
-        refine(state, 0, 1)
-        with pytest.raises(ValueError):
-            conditional_pmf(bank, state, 0)
-
-    def test_delta_d_is_alg_rows_on_one_row(self):
-        bank = _bank([1.7], 2)
-        state = IntervalState.initial(bank)
-        refine(state, 0, 1)
-        w = int(state.widths()[0])
-        s0 = int(bank.starts[0] + state.lo[0])
-        _, _, dd = _alg_rows(bank.masses_flat[s0:s0 + w][None, :], 2)
-        assert delta_d(bank, state, 0) == dd[0]
+        state.apply_plane_digits(0, np.asarray([0]), np.asarray([1]))
+        pr = plane_priorities_vectorized(bank, state, 1)
+        block = bank.element_masses(0)[9:18]
+        pmf = block.reshape(3, 3).sum(axis=1) / block.sum()
+        assert pr.uncertain.tolist() == [0]
+        assert np.array_equal(pr.tables[0], quantize_pmf_rows(pmf[None])[0])
+        assert pr.delta_r[0] == pytest.approx(entropy_bits(pmf), rel=1e-12)
+        assert pr.delta_d[0] == _alg_rows(block[None, :], 3)[2][0]
 
 
 class TestPlanePriorities:
@@ -305,14 +325,14 @@ class TestBlocks:
         monkeypatch.setattr(priority, "_assemble", spy)
         bank = build_model_bank(sig, base)
         vals = bank.offsets + np.random.default_rng(1).integers(0, bank.lengths)
-        stack = slice_latent(vals, bank)
+        digits = digit_planes(vals, bank)
         state = IntervalState.initial(bank)
         planes = [moments(state)]
         for n in range(bank.l_max):
             pr = plane_priorities_vectorized(bank, state, n)
             planes.append((pr.tables, pr.order, pr.coded_tables) + seen[-1])
             ids = state.active_ids(n)
-            state.apply_plane_digits(n, ids, stack.planes[n, ids])
+            state.apply_plane_digits(n, ids, digits[n, ids])
             planes.append(moments(state))
         return bank.masses_flat, planes
 

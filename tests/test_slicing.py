@@ -1,82 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from tritstream.errors import CorruptionError
+from conftest import digit_planes
 from tritstream.gaussian import build_model_bank
-from tritstream.slicing import IntervalState, PlaneStack, refine, slice_latent, unslice
+from tritstream.slicing import IntervalState
 
 
 def _bank(sigmas, base):
     return build_model_bank(np.asarray(sigmas, dtype=np.float64), base)
-
-
-class TestSliceLatent:
-    def test_value_five_sigma1_base2(self):
-        # interval [-7, 8], so 5 rebases to 12 = 1100 in base 2
-        stack = slice_latent([5], _bank([1.0], 2))
-        assert stack.planes[:, 0].tolist() == [1, 1, 0, 0]
-
-    def test_value_five_sigma1_base3(self):
-        # interval [-13, 13], so 5 rebases to 18 = 200 in base 3
-        stack = slice_latent([5], _bank([1.0], 3))
-        assert stack.planes[:, 0].tolist() == [2, 0, 0]
-
-    def test_zero_lands_mid_interval(self):
-        assert slice_latent([0], _bank([1.0], 3)).planes[:, 0].tolist() == [1, 1, 1]
-        assert slice_latent([0], _bank([1.0], 2)).planes[:, 0].tolist() == [0, 1, 1, 1]
-
-    def test_dormant_planes_are_zero(self):
-        # sigma 1 has 3 digits, sigma 10 has 5: the short element is padded
-        # with two leading zero planes.
-        bank = _bank([1.0, 10.0], 3)
-        stack = slice_latent([5, 5], bank)
-        assert stack.l_max == 5
-        assert stack.planes[:2, 0].tolist() == [0, 0]
-        assert np.all(stack.planes < 3)
-
-    def test_out_of_interval_rejected(self):
-        with pytest.raises(ValueError):
-            slice_latent([14], _bank([1.0], 3))
-        with pytest.raises(ValueError):
-            slice_latent([-8], _bank([1.0], 2))
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            slice_latent([0, 0], _bank([1.0], 3))
-
-
-class TestUnslice:
-    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]), st.integers(1, 40))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip(self, seed, base, n):
-        rng = np.random.default_rng(seed)
-        sig = np.exp(rng.uniform(np.log(0.05), np.log(10.0), size=n))
-        bank = _bank(sig, base)
-        lo = bank.offsets
-        vals = lo + rng.integers(0, bank.lengths)
-        assert np.array_equal(unslice(slice_latent(vals, bank), bank), vals)
-
-    def test_digit_out_of_range(self):
-        bank = _bank([1.0], 3)
-        stack = slice_latent([0], bank)
-        bad = PlaneStack(base=3, l_max=stack.l_max,
-                         planes=np.full_like(stack.planes, 3))
-        with pytest.raises(CorruptionError):
-            unslice(bad, bank)
-
-    def test_nonzero_dormant_digit(self):
-        bank = _bank([1.0, 10.0], 3)
-        stack = slice_latent([0, 0], bank)
-        planes = stack.planes.copy()
-        planes[0, 0] = 1  # plane 0 is dormant for the sigma-1 element
-        with pytest.raises(CorruptionError):
-            unslice(PlaneStack(base=3, l_max=stack.l_max, planes=planes), bank)
-
-    def test_bank_mismatch(self):
-        stack = slice_latent([0], _bank([1.0], 3))
-        with pytest.raises(ValueError):
-            unslice(stack, _bank([1.0], 2))
 
 
 class TestIntervalState:
@@ -91,11 +22,11 @@ class TestIntervalState:
     def test_apply_tracks_sliced_digits(self):
         bank = _bank([1.0, 10.0], 3)
         vals = np.asarray([5, -37])
-        stack = slice_latent(vals, bank)
+        planes = digit_planes(vals, bank)
         state = IntervalState.initial(bank)
         for n in range(bank.l_max):
             ids = state.active_ids(n)
-            state.apply_plane_digits(n, ids, stack.planes[n, ids])
+            state.apply_plane_digits(n, ids, planes[n, ids])
         assert np.all(state.widths() == 1)
         assert np.array_equal(bank.offsets + state.lo, vals)
 
@@ -114,24 +45,16 @@ class TestIntervalState:
             state.apply_plane_digits(0, np.asarray([0]), np.asarray([3]))
 
     def test_refine_single_element(self):
+        # sigma 1, base 3: interval [-13, 13]; digits 1, 0, 2 pick -13 + 11.
         bank = _bank([1.0], 3)
         state = IntervalState.initial(bank)
-        refine(state, 0, 1)
+        one = np.asarray([0])
+        state.apply_plane_digits(0, one, np.asarray([1]))
         assert state.widths().tolist() == [9]
         assert state.lo.tolist() == [9]
-        refine(state, 0, 0)
-        refine(state, 0, 2)
+        state.apply_plane_digits(1, one, np.asarray([0]))
+        state.apply_plane_digits(2, one, np.asarray([2]))
         assert state.widths().tolist() == [1]
-        with pytest.raises(ValueError):
-            refine(state, 0, 0)
-
-    def test_refine_digit_validation(self):
-        state = IntervalState.initial(_bank([1.0], 2))
-        with pytest.raises(ValueError):
-            refine(state, 0, 2)
-
-    def test_copy_isolates_state(self):
-        state = IntervalState.initial(_bank([1.0], 3))
-        dup = state.copy()
-        refine(dup, 0, 2)
-        assert state.lo[0] == 0 and dup.lo[0] == 18
+        assert (bank.offsets + state.lo).tolist() == [-2]
+        with pytest.raises(ValueError):  # plane 2 is already applied
+            state.apply_plane_digits(2, one, np.asarray([0]))

@@ -6,7 +6,7 @@ import pytest
 from conftest import interval_moments_oracle
 from tritstream.codec import canonicalize, expected_distortion
 from tritstream.gaussian import ElementModel, build_element_model
-from tritstream.reduction import Shape
+from tritstream.formats import Shape
 from tritstream.synth import SynthConfig, generate, mc_distortion_oracle
 
 

@@ -42,6 +42,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -105,7 +112,8 @@ def _build_parser() -> _Parser:
     dec.add_argument("input")
     dec.add_argument("output")
     dec.add_argument("--sigma", help="LTEN file supplying scales for mode-0 streams")
-    dec.add_argument("--budget", type=int, help="truncate to this many bytes first")
+    dec.add_argument("--budget", type=_non_negative_int,
+                     help="truncate to this many bytes first")
     dec.set_defaults(func=_cmd_decode)
 
     curve = sub.add_parser("rd-curve", help="emit rate-distortion points as CSV")

@@ -70,6 +70,9 @@ PRIORITY_IMPLS = {
     "naive": plane_priorities_naive,
 }
 
+# ((base, scale bytes), bank) of the last bank _model_bank built, or None.
+_last_bank = None
+
 
 @dataclass(frozen=True)
 class EncodeResult:
@@ -113,8 +116,30 @@ def _prepare(values, sigmas, base: int, sigma_mode: int):
     sig32 = sig.ravel().astype("<f4")
     # Mode 1 rounds scales to float32 so both coder sides model identically.
     bank_sig = sig32.astype(np.float64) if sigma_mode == 1 else sig.ravel()
+    return shape, sig32, _model_bank(bank_sig, base)
+
+
+def _model_bank(bank_sig: np.ndarray, base: int) -> ModelBank:
+    """The model bank of float64 scales bank_sig, reusing the last one built.
+
+    A progressive receiver decodes one stream at several prefixes under the
+    same scales, so one entry is enough.  A miss drops the old bank before
+    building, so two banks are never alive at once.  The cached arrays are
+    read-only: every caller shares them.  The entry is replaced in one
+    assignment, so it always pairs a key with that key's bank.
+    """
+    global _last_bank
+    key = (base, bank_sig.tobytes())
+    last = _last_bank
+    if last is not None and last[0] == key:
+        return last[1]
+    last = _last_bank = None
     bank = build_model_bank(bank_sig, base)
-    return shape, sig32, bank
+    for arr in (bank.sigmas, bank.exponents, bank.offsets, bank.lengths,
+                bank.starts, bank.masses_flat):
+        arr.flags.writeable = False
+    _last_bank = (key, bank)
+    return bank
 
 
 def _interval_moments(bank: ModelBank, ids: np.ndarray, lo: np.ndarray,
@@ -365,7 +390,7 @@ def decode(stream: bytes, sigmas=None, *,
     # Checking it first keeps a forged scale from sizing the mass table.
     if interval_exponent(largest, hdr.base) != hdr.l_max:
         raise CorruptionError("plane count disagrees with the scales")
-    bank = build_model_bank(bank_sig, hdr.base)
+    bank = _model_bank(bank_sig, hdr.base)
     lengths = hdr.payload_lengths.astype(np.int64)
     ends = hdr.header_size + np.cumsum(lengths)
     starts = ends - lengths

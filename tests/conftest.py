@@ -3,6 +3,8 @@
 The oracles go through math.erf, plain Python sums or integer arithmetic so
 that a bug in the scipy-based production path cannot cancel out of a test.
 range_encode only drives the package's RangeEncoder over whole digit lists.
+Every test starts with codec's model-bank cache empty, so tests that count
+or forbid model builds do not depend on the order tests run in.
 """
 
 import math
@@ -10,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import tritstream.codec as codec
 from tritstream.entropy import RangeEncoder
 
 
@@ -60,6 +63,11 @@ def range_encode(digits, tables) -> bytes:
                             np.asarray(tables).tolist()):
         enc.encode(cum[d], freq[d])
     return enc.finish()
+
+
+@pytest.fixture(autouse=True)
+def empty_bank_cache():
+    codec._last_bank = None
 
 
 @pytest.fixture

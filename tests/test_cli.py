@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from tritstream.formats import Shape, parse_stream_header, read_lflt, write_lten
 from tritstream.synth import SynthConfig, generate
 
 
+# The CLI runs in a child interpreter, which needs the package's source too.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "tritstream", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +113,11 @@ class TestExitCodes:
             r = run_cli("rd-curve", src, str(tmp_path / "c.csv"), "--group", group)
             assert r.returncode == 1
             assert "--group" in r.stderr
+        stream = str(tmp_path / "out.dpts")
+        run_cli("encode", src, stream)
+        r = run_cli("decode", stream, str(tmp_path / "y"), "--budget", "-1")
+        assert r.returncode == 1
+        assert "--budget" in r.stderr
 
     def test_data_errors_are_exit_2(self, lten_path, tmp_path):
         src, _ = lten_path
@@ -113,9 +125,10 @@ class TestExitCodes:
         assert run_cli("encode", missing, str(tmp_path / "x")).returncode == 2
         stream = str(tmp_path / "out.dpts")
         run_cli("encode", src, stream)
-        r = run_cli("decode", stream, str(tmp_path / "y"), "--budget", "3")
-        assert r.returncode == 2
-        assert "error:" in r.stderr
+        for budget in ("3", "0"):
+            r = run_cli("decode", stream, str(tmp_path / "y"), "--budget", budget)
+            assert r.returncode == 2
+            assert "error:" in r.stderr
         # a stream is not an LTEN file
         assert run_cli("encode", stream, str(tmp_path / "z")).returncode == 2
 

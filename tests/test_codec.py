@@ -1,4 +1,6 @@
+import functools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from tritstream.codec import (
     rd_trace,
     truncate,
 )
-from tritstream.errors import CorruptionError, FormatError
+from tritstream.errors import CorruptionError, FormatError, TritstreamError
 from tritstream.formats import Shape, pack_stream_header, parse_stream_header, stream_header_size
-from tritstream.gaussian import build_element_model, interval_exponent
+from tritstream.gaussian import build_element_model, build_model_bank, interval_exponent
 from tritstream.synth import SynthConfig, generate
 
 D0_SIGMA1_BASE3 = 1.083333322361118  # mpmath oracle, see test_synth
@@ -274,6 +276,139 @@ class TestDecodeErrors:
         except CorruptionError:
             return
         assert not np.array_equal(rec.values, v.astype(np.float64))
+
+
+class TestModelBankCache:
+    """Calls with the same (base, scales) as the last one reuse its bank."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        build = codec_module.build_model_bank
+
+        def counted(sig, base):
+            builds.append(base)
+            return build(sig, base)
+
+        monkeypatch.setattr(codec_module, "build_model_bank", counted)
+        return builds
+
+    @pytest.mark.parametrize("sigma_mode", [0, 1])
+    def test_decode_after_encode_builds_nothing(self, sigma_mode, monkeypatch):
+        v, s = _synth((3, 4, 5), seed=5)
+        builds = self._count_builds(monkeypatch)
+        res = encode_result(v, s, base=3, sigma_mode=sigma_mode)
+        assert len(builds) == 1
+        scales = s if sigma_mode == 0 else None
+        decode(truncate(res.stream, res.header_size + 5), sigmas=scales)
+        assert decode(res.stream, sigmas=scales).exact
+        assert len(builds) == 1
+
+    def test_other_base_or_scales_build_again(self, monkeypatch):
+        va, sa = _synth((3, 4, 5), seed=5)
+        vb, sb = _synth((5, 4, 3), seed=6)
+        builds = self._count_builds(monkeypatch)
+        a3 = encode(va, sa, base=3, sigma_mode=0)
+        a2 = encode(va, sa, base=2, sigma_mode=0)
+        b3 = encode(vb, sb, base=3, sigma_mode=0)
+        assert len(builds) == 3
+        # Another mode-0 scale tensor of the same length.
+        assert decode(a3, sigmas=sa).exact
+        assert len(builds) == 4
+        assert decode(b3, sigmas=sb).exact
+        assert len(builds) == 5
+        # The same scales under another base.
+        assert decode(a2, sigmas=sa).exact
+        assert len(builds) == 6
+        assert decode(a3, sigmas=sa).exact
+        assert len(builds) == 7
+        # One scale one ulp larger.
+        bumped = sa.astype(np.float64)
+        bumped.flat[7] = np.nextafter(bumped.flat[7], np.inf)
+        decode(a3, sigmas=bumped)
+        assert len(builds) == 8
+        assert builds == [3, 2, 3, 3, 3, 2, 3, 3]
+
+    def test_a_miss_frees_the_old_bank_before_building(self, monkeypatch):
+        v, s = _synth((3, 4, 5), seed=5)
+        encode(v, s, base=3)
+        old = weakref.ref(codec_module._last_bank[1])
+        build = codec_module.build_model_bank
+
+        def checked(sig, base):
+            assert old() is None, "the previous bank is alive during the build"
+            return build(sig, base)
+
+        monkeypatch.setattr(codec_module, "build_model_bank", checked)
+        encode(v, s, base=2)
+        assert old() is None
+
+    def test_warm_decode_equals_cold(self):
+        v, s = _synth((4, 5, 6), seed=8)
+        res = encode_result(v, s, base=3)
+        payload = len(res.stream) - res.header_size
+        for budget in (res.header_size, res.header_size + payload // 3,
+                       len(res.stream)):
+            prefix = truncate(res.stream, budget)
+            warm = decode(prefix)
+            assert codec_module._last_bank is not None
+            codec_module._last_bank = None
+            cold = decode(prefix)
+            assert np.array_equal(warm.values, cold.values)
+            assert warm.mse == cold.mse
+            assert np.array_equal(warm.digits_applied, cold.digits_applied)
+            assert warm.exact == cold.exact
+
+    def test_cached_bank_is_read_only(self):
+        v, s = _synth((2, 3, 4), seed=9)
+        encode(v, s)
+        _, bank = codec_module._last_bank
+        with pytest.raises(ValueError, match="read-only"):
+            bank.masses_flat[0] = 0.5
+        # gaussian's builder stays uncached and writeable.
+        fresh = build_model_bank(bank.sigmas, bank.base)
+        assert fresh is not bank and fresh.masses_flat.flags.writeable
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _intact(sigma_mode, base):
+        v, s = _synth((2, 3, 4), seed=10)
+        stream = encode(v, s, base=base, sigma_mode=sigma_mode)
+        scales = s if sigma_mode == 0 else None
+        return stream, scales, decode(stream, sigmas=scales)
+
+    @given(st.sampled_from([0, 1]), st.sampled_from([2, 3]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_streams_leave_a_sound_cache(self, sigma_mode, base, warm, data):
+        stream, scales, want = self._intact(sigma_mode, base)
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = stream[:data.draw(st.integers(0, len(stream) - 1), label="length")]
+        else:
+            at = data.draw(st.integers(0, len(stream) - 1), label="position")
+            flip = data.draw(st.integers(1, 255), label="mask")
+            damaged = stream[:at] + bytes([stream[at] ^ flip]) + stream[at + 1:]
+        if warm:
+            decode(stream, sigmas=scales)
+        try:
+            decode(damaged, sigmas=scales)
+        except TritstreamError:
+            pass
+        except ValueError as exc:
+            # Mode 0 documents a ValueError when the stream's dimensions
+            # disagree with the out-of-band scales.
+            if sigma_mode != 0 or "scale count" not in str(exc):
+                raise
+        if codec_module._last_bank is not None:
+            (key_base, key_sig), bank = codec_module._last_bank
+            ref = build_model_bank(np.frombuffer(key_sig), key_base)
+            assert bank.base == key_base
+            assert np.array_equal(bank.masses_flat, ref.masses_flat)
+            assert np.array_equal(bank.exponents, ref.exponents)
+        got = decode(stream, sigmas=scales)
+        assert np.array_equal(got.values, want.values)
+        assert got.mse == want.mse
+        assert np.array_equal(got.digits_applied, want.digits_applied)
+        assert got.exact == want.exact
 
 
 class TestRdTrace:

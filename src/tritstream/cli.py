@@ -111,7 +111,8 @@ def _build_parser() -> _Parser:
     dec = sub.add_parser("decode", help="decode a stream (or prefix) to floats")
     dec.add_argument("input")
     dec.add_argument("output")
-    dec.add_argument("--sigma", help="LTEN file supplying scales for mode-0 streams")
+    dec.add_argument("--sigma", help="LTEN file supplying scales for mode-0 streams "
+                                     "(an error for mode-1 streams)")
     dec.add_argument("--budget", type=_non_negative_int,
                      help="truncate to this many bytes first")
     dec.set_defaults(func=_cmd_decode)

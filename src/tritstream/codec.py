@@ -28,11 +28,9 @@ stream represents is the final interval, and the digit of a certain element
 is always its forced digit.  decode(encode(x)) therefore equals
 canonicalize(x), and equals x exactly when x is already canonical.
 
-Reconstruction values are conditional means over the final intervals.  Two
-exactness rules matter downstream: an interval of width 1 reconstructs to
-its integer with zero variance, and a base-3 interval centered on zero
-reconstructs to 0.0 exactly (its masses are mirror-exact by construction, so
-the true mean is zero; forcing it removes float summation dust).
+Reconstruction values are conditional means over the final intervals,
+computed by ModelBank.moments, which also states where they are exact.
+decode checks scales against gaussian.SIGMA_MAX before anything is sized.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import numpy as np
 from .entropy import RangeEncoder, decode_digits
 from .errors import CorruptionError, FormatError
 from .formats import Shape, pack_stream_header, parse_stream_header, stream_header_size
-from .gaussian import ElementModel, ModelBank, build_model_bank, interval_exponent
+from .gaussian import SIGMA_MAX, ElementModel, ModelBank, build_model_bank, interval_exponent
 from .priority import plane_priorities_naive, plane_priorities_vectorized
 from .slicing import IntervalState
 
@@ -60,10 +58,6 @@ __all__ = [
     "expected_distortion",
     "PRIORITY_IMPLS",
 ]
-
-# Mass entries one block of _interval_moments gathers; a block always holds
-# at least one row.
-_BLOCK_ENTRIES = 1 << 16
 
 PRIORITY_IMPLS = {
     "vectorized": plane_priorities_vectorized,
@@ -135,58 +129,9 @@ def _model_bank(bank_sig: np.ndarray, base: int) -> ModelBank:
         return last[1]
     last = _last_bank = None
     bank = build_model_bank(bank_sig, base)
-    for arr in (bank.sigmas, bank.exponents, bank.offsets, bank.lengths,
-                bank.starts, bank.masses_flat):
-        arr.flags.writeable = False
+    bank.freeze()
     _last_bank = (key, bank)
     return bank
-
-
-def _interval_moments(bank: ModelBank, ids: np.ndarray, lo: np.ndarray,
-                      widths: np.ndarray, fresh: np.ndarray):
-    """Conditional mean and variance of element ids[k] over [lo[k], lo[k] + widths[k]).
-
-    fresh[k] marks an interval no digit has refined yet.  Each width group
-    is gathered a block of about _BLOCK_ENTRIES mass entries at a time;
-    rows reduce independently, so the blocks change no value.
-    """
-    left = bank.offsets[ids] + lo
-    startpos = bank.starts[ids] + lo
-    e = np.empty(ids.size, dtype=np.float64)
-    v = np.empty(ids.size, dtype=np.float64)
-    for w in np.unique(widths):
-        group = np.flatnonzero(widths == w)
-        w = int(w)
-        if w == 1:
-            e[group] = left[group].astype(np.float64)
-            v[group] = 0.0
-            continue
-        windows = bank.windows(w)
-        cols = np.arange(w, dtype=np.float64)
-        step = max(1, _BLOCK_ENTRIES // w)
-        for a in range(0, group.size, step):
-            rows = group[a:a + step]
-            p = windows[startpos[rows]]
-            m = left[rows][:, None] + cols
-            t = p.sum(axis=1)
-            pm = p * m
-            mean = pm.sum(axis=1) / t
-            pm *= m
-            var = pm.sum(axis=1) / t - mean * mean
-            center = left[rows] + (w - 1) / 2.0
-            mean[center == 0.0] = 0.0
-            if w % 2 == 0:
-                # Unrefined even-width supports: the mirrored masses cancel
-                # exactly, so only the unpaired top member survives.  Summing
-                # in member order buries that term under cancellation noise.
-                unrefined = fresh[rows]
-                if np.any(unrefined):
-                    top = left[rows][unrefined].astype(np.float64) + (w - 1)
-                    mean[unrefined] = top * p[unrefined, -1] / t[unrefined]
-            np.maximum(var, 0.0, out=var)
-            e[rows] = mean
-            v[rows] = var
-    return e, v
 
 
 def _walk_planes(bank: ModelBank, priority_fn, planes: int, code) -> IntervalState:
@@ -241,9 +186,8 @@ def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
     if trace_group is not None:
         if trace_group < 1:
             raise ValueError("trace group must be positive")
-        _, v_track = _interval_moments(bank, np.arange(bank.size),
-                                       np.zeros(bank.size, dtype=np.int64),
-                                       bank.lengths, np.ones(bank.size, dtype=bool))
+        _, v_track = bank.moments(np.arange(bank.size),
+                                  np.zeros(bank.size, dtype=np.int64), bank.lengths)
         points = [(8.0 * header_size, float(v_track.mean()))]
 
     payloads: list[bytes] = []
@@ -259,8 +203,7 @@ def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
             ids = np.concatenate((pr.certain, pr.order))
             sub = bank.base ** (bank.l_max - n - 1)
             lo = state.lo[ids] + np.concatenate((pr.forced_digit, digs)) * sub
-            _, v_next = _interval_moments(bank, ids, lo, np.full(ids.size, sub),
-                                          np.zeros(ids.size, dtype=bool))
+            _, v_next = bank.moments(ids, lo, np.full(ids.size, sub))
             v_track[pr.certain] = v_next[:pr.certain.size]
             v_coded = v_next[pr.certain.size:]
         chunk = b""
@@ -367,24 +310,29 @@ def truncate(stream: bytes, byte_budget: int) -> bytes:
 
 def decode(stream: bytes, sigmas=None, *,
            priority_impl: str = "vectorized") -> Reconstruction:
-    """Decode a stream or any header-preserving byte prefix of one."""
+    """Decode a stream or any header-preserving byte prefix of one.
+
+    sigmas supplies the scales of a mode-0 stream and must be None for a
+    mode-1 stream, which embeds its own.
+    """
     priority_fn = PRIORITY_IMPLS[priority_impl]
     hdr = parse_stream_header(stream)
     # Embedded scales are stream bytes; out-of-band ones are an argument.
     if hdr.sigma_mode == 1:
-        # Checked as float32: numpy warns when it widens a signalling NaN.
-        if not (np.all(np.isfinite(hdr.sigmas)) and hdr.sigmas.min() > 0.0):
-            raise FormatError("scales must be positive finite numbers")
-        bank_sig = hdr.sigmas.astype(np.float64)
+        if sigmas is not None:
+            raise ValueError("the stream embeds its scales; pass no sigmas")
+        scales, error = hdr.sigmas, FormatError
     else:
         if sigmas is None:
             raise ValueError("sigma storage mode 0 needs out-of-band scales")
-        sig = np.asarray(sigmas, dtype=np.float64)
-        if sig.size != hdr.shape.size:
+        scales, error = np.asarray(sigmas, dtype=np.float64).ravel(), ValueError
+        if scales.size != hdr.shape.size:
             raise ValueError("scale count does not match the stream dimensions")
-        bank_sig = sig.ravel()
-        if not (bank_sig.min() > 0.0 and bank_sig.max() < np.inf):
-            raise ValueError("scales must be positive finite numbers")
+    # Embedded scales are checked as float32: numpy warns when it widens a
+    # signalling NaN.  NaN fails both comparisons.
+    if not (scales.min() > 0.0 and scales.max() <= SIGMA_MAX):
+        raise error(f"scales must be positive and at most SIGMA_MAX = {SIGMA_MAX:g}")
+    bank_sig = scales.astype(np.float64, copy=False)
     largest = float(bank_sig.max())
     # The exponent grows with the scale, so the largest scale sets l_max.
     # Checking it first keeps a forged scale from sizing the mass table.
@@ -412,8 +360,7 @@ def decode(stream: bytes, sigmas=None, *,
         return digits
 
     state = _walk_planes(bank, priority_fn, planes, code)
-    e, v = _interval_moments(bank, np.arange(bank.size), state.lo,
-                             state.widths(), state.applied == 0)
+    e, v = bank.moments(np.arange(bank.size), state.lo, state.widths())
     dims = (hdr.shape.channels, hdr.shape.height, hdr.shape.width)
     return Reconstruction(
         values=e.reshape(dims),

@@ -10,7 +10,7 @@ Progressive stream ("DPTS"):
            6   digit base, 2 or 3 (1 byte)
            7   sigma storage mode, 0 = out-of-band, 1 = embedded (1 byte)
            8   dims C, H, W (3 x uint32)
-          20   plane count l_max (1 byte)
+          20   plane count l_max (1 byte; at most 19 for bits, 12 for trits)
           21   [mode 1 only] K raw float32 scales
            .   plane directory: l_max x uint32 payload byte lengths
            .   plane payloads, concatenated
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .gaussian import SIGMA_MAX, interval_exponent
 
 __all__ = [
     "Shape",
@@ -62,7 +63,8 @@ STREAM_VERSION = 1
 ARITHMETIC_PROFILE = 2
 
 _STREAM_HEAD = struct.Struct("<4sBBBB3IB")
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# Planes of a model for a scale of SIGMA_MAX, the most a stream may declare.
+_MAX_PLANES = {base: interval_exponent(SIGMA_MAX, base) for base in (2, 3)}
 _TENSOR_HEAD = struct.Struct("<4sB3I")
 
 
@@ -149,8 +151,8 @@ def parse_stream_header(data: bytes) -> StreamHeader:
         raise FormatError(f"invalid sigma storage mode {sigma_mode}")
     if min(c, h, w) < 1 or l_max < 1:
         raise FormatError("invalid dimensions")
-    if base ** l_max > _INT64_MAX:
-        raise FormatError(f"{l_max} base-{base} planes overflow an int64 interval length")
+    if l_max > _MAX_PLANES[base]:
+        raise FormatError(f"{l_max} base-{base} planes exceed those of SIGMA_MAX")
     shape = Shape(c, h, w)
     pos = _STREAM_HEAD.size
     sigmas = None

@@ -14,9 +14,9 @@ Interval layout by base:
 
 Bin masses are normal CDF differences evaluated through the complementary
 tail, so far-out bins keep small positive float64 values instead of rounding
-to zero.  For base 3 the formulas are mirror-exact: masses[j] and its mirror
-are bit-identical, which downstream code uses to reconstruct an exact 0.0 on
-symmetric intervals.
+to zero.  Bins m and -m are bit-identical, which ModelBank.moments uses to
+reconstruct exact means.  Only ModelBank knows how the masses are laid out;
+other layers read them through its row_blocks and moments.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from scipy.special import ndtr, ndtri
 __all__ = [
     "TAIL_EPSILON",
     "SIGMA_MIN",
+    "SIGMA_MAX",
     "interval_exponent",
     "ElementModel",
     "build_element_model",
@@ -40,11 +41,15 @@ __all__ = [
 
 TAIL_EPSILON = 5e-10
 SIGMA_MIN = 0.05
+# Largest scale a model is built for: 128 times the top of CompressAI's
+# scale table (256).  It caps a model at 3**12 or 2**19 mass entries, about
+# 4 MiB per element.
+SIGMA_MAX = 32768.0
 
-# Mass entries build_model_bank computes at once; a block always holds at
-# least one element.
+# Mass entries build_model_bank computes at once, and mass entries one block
+# of ModelBank.row_blocks gathers; a block always holds at least one row.
 _BLOCK_ENTRIES = 1 << 18
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_GATHER_ENTRIES = 1 << 16
 
 # One-sided z covering 1 - TAIL_EPSILON of the standard normal.  Evaluated
 # at the small-p end; 1 - TAIL_EPSILON itself is 7 ulps wide near 1.0.
@@ -164,9 +169,65 @@ class ModelBank:
     def size(self) -> int:
         return self.sigmas.size
 
-    def windows(self, width: int) -> np.ndarray:
-        """Read-only view of masses_flat whose row k is masses_flat[k:k + width]."""
-        return _windows(self.masses_flat, width)
+    def freeze(self) -> None:
+        """Make every array of the bank read-only, for a bank callers share."""
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def row_blocks(self, ids: np.ndarray, lo: np.ndarray, width: int):
+        """Mass rows of elements ids over [lo, lo + width), a block at a time.
+
+        Yields (k, rows) for consecutive slices k of ids; rows[r] is element
+        ids[k][r]'s masses from interval position lo[k][r] on, C-contiguous.
+        A block gathers about _GATHER_ENTRIES entries.
+        """
+        first = self.starts[ids] + lo
+        windows = _windows(self.masses_flat, width)
+        step = max(1, _GATHER_ENTRIES // width)
+        for a in range(0, first.size, step):
+            k = slice(a, a + step)
+            yield k, windows[first[k]]
+
+    def moments(self, ids: np.ndarray, lo: np.ndarray, widths: np.ndarray):
+        """Conditional mean and variance of element ids[k] over [lo[k], lo[k] + widths[k]).
+
+        A width-1 interval is its integer with zero variance.  By
+        _bin_masses' mirrored bins, a base-3 interval centred on zero has
+        mean 0.0, and in a whole even-width interval (widths[k] is the
+        element's length) only the unpaired top member's share survives,
+        which summing in member order would bury under cancellation noise.
+        """
+        left = self.offsets[ids] + lo
+        fresh = widths == self.lengths[ids]
+        e = np.empty(ids.size, dtype=np.float64)
+        v = np.empty(ids.size, dtype=np.float64)
+        for w in np.unique(widths):
+            group = np.flatnonzero(widths == w)
+            w = int(w)
+            if w == 1:
+                e[group] = left[group]
+                v[group] = 0.0
+                continue
+            cols = np.arange(w, dtype=np.float64)
+            for k, p in self.row_blocks(ids[group], lo[group], w):
+                rows = group[k]
+                m = left[rows][:, None] + cols
+                t = p.sum(axis=1)
+                pm = p * m
+                mean = pm.sum(axis=1) / t
+                pm *= m
+                var = pm.sum(axis=1) / t - mean * mean
+                mean[left[rows] + (w - 1) / 2.0 == 0.0] = 0.0
+                if w % 2 == 0:
+                    whole = fresh[rows]
+                    if np.any(whole):
+                        top = left[rows][whole].astype(np.float64) + (w - 1)
+                        mean[whole] = top * p[whole, -1] / t[whole]
+                np.maximum(var, 0.0, out=var)
+                e[rows] = mean
+                v[rows] = var
+        return e, v
 
     def element_masses(self, i: int) -> np.ndarray:
         s = self.starts[i]
@@ -185,9 +246,8 @@ class ModelBank:
 def build_model_bank(sigmas, base: int) -> ModelBank:
     """Build models for every element of a scale tensor.
 
-    Scales must be positive and finite; values below SIGMA_MIN are clamped.
-    Raises ValueError when the models would need more mass entries than an
-    int64 offset can index.
+    Scales must be positive and at most SIGMA_MAX; values below SIGMA_MIN
+    are clamped.
     """
     if base not in (2, 3):
         raise ValueError(f"base must be 2 or 3, got {base}")
@@ -195,15 +255,11 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
     sig = np.asarray(sigmas, dtype=np.float64).ravel()
     if sig.size == 0:
         raise ValueError("scale tensor is empty")
-    if not np.all(np.isfinite(sig)) or np.any(sig <= 0.0):
-        raise ValueError("scales must be positive finite numbers")
+    if not (np.all(sig > 0.0) and np.all(sig <= SIGMA_MAX)):
+        raise ValueError(f"scales must be positive and at most SIGMA_MAX = {SIGMA_MAX:g}")
     sig = np.maximum(sig, SIGMA_MIN)
 
     exponents = interval_exponent(sig, base)
-    counts = np.bincount(exponents).tolist()
-    total = sum(c * base ** ell for ell, c in enumerate(counts))
-    if total > _INT64_MAX:
-        raise ValueError("the scales need more model entries than int64 can index")
     offsets = _interval_offset(exponents, base)
     lengths = np.asarray(base, dtype=np.int64) ** exponents
     starts = np.zeros(sig.size, dtype=np.int64)
@@ -212,15 +268,13 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
     # Each exponent group is built a block of about _BLOCK_ENTRIES mass
     # entries at a time; rows are computed and normalised independently, so
     # the blocks change no value.
-    flat = np.empty(total, dtype=np.float64)
-    for ell, count in enumerate(counts):
-        if not count:
-            continue
+    flat = np.empty(int(starts[-1] + lengths[-1]), dtype=np.float64)
+    for ell in np.flatnonzero(np.bincount(exponents)).tolist():
         members = np.flatnonzero(exponents == ell)
         w = base ** ell
         win = _windows(flat, w, writeable=True)
         step = max(1, _BLOCK_ENTRIES // w)
-        for a in range(0, count, step):
+        for a in range(0, members.size, step):
             blk = members[a:a + step]
             rows = _bin_masses(sig[blk, None], w)
             rows /= rows.sum(axis=1, keepdims=True)

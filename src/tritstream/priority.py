@@ -15,10 +15,11 @@ interval's mass, which bounds delta_r away from 0, so the priority ratio is
 always well defined.
 
 plane_priorities_vectorized and plane_priorities_naive must produce
-bit-identical results.  Both call the same row reductions, row_sum and
-split_row_sum, on the same C-contiguous float64 rows; the naive path just
-feeds them one element at a time.  numpy reduces each row independently of
-how many rows sit in the batch, so the per-row sums, and hence the final
+bit-identical results.  Both read their mass rows through
+ModelBank.row_blocks and call the same row reductions, row_sum and
+split_row_sum, and the same quantizer on them; the naive path just asks for
+one element at a time.  numpy reduces each row independently of how many
+rows sit in the batch, so the per-row results, and hence the final
 ordering, cannot drift between the paths.
 """
 
@@ -40,10 +41,6 @@ __all__ = [
     "plane_priorities_vectorized",
     "plane_priorities_naive",
 ]
-
-# Mass entries one block of plane_priorities_vectorized gathers; a block
-# always holds at least one row.
-_BLOCK_ENTRIES = 1 << 16
 
 
 # codecbench/tracer.py patches row_sum and split_row_sum here by name.
@@ -113,9 +110,19 @@ class PlanePriorities:
     coded_tables: np.ndarray
 
 
-def _assemble(plane: int, active: np.ndarray, q: np.ndarray,
+def _branch_tables(base: int, n: int, blocks):
+    """Quantized tables, delta_r and delta_d of n rows from (k, rows) blocks."""
+    tables = np.empty((n, base), dtype=np.uint32)
+    dr = np.empty(n, dtype=np.float64)
+    dd = np.empty(n, dtype=np.float64)
+    for k, p in blocks:
+        q, dr[k], dd[k] = _alg_rows(p, base)
+        tables[k] = quantize_pmf_rows(q)
+    return tables, dr, dd
+
+
+def _assemble(plane: int, active: np.ndarray, tables: np.ndarray,
               dr: np.ndarray, dd: np.ndarray) -> PlanePriorities:
-    tables = quantize_pmf_rows(q) if active.size else np.zeros((0, q.shape[1]), np.uint32)
     certain_mask = (tables > 0).sum(axis=1) == 1
     certain = active[certain_mask]
     forced = tables.argmax(axis=1)[certain_mask].astype(np.uint8)
@@ -152,22 +159,14 @@ def plane_priorities_vectorized(bank: ModelBank, state: IntervalState,
                                 plane: int) -> PlanePriorities:
     """Branch statistics and coding order for one plane, a block of rows at a time.
 
-    Each block gathers about _BLOCK_ENTRIES mass entries, so temporaries stay
-    bounded whatever the plane size; rows reduce independently, so the
-    blocks change no result.
+    Rows are reduced and quantized in the bounded blocks of
+    ModelBank.row_blocks, so temporaries stay bounded whatever the plane
+    size; rows reduce independently, so the blocks change no result.
     """
     active = _active_rows(state, plane)
     width = bank.base ** (bank.l_max - plane)
-    first = (bank.starts + state.lo)[active]
-    windows = bank.windows(width)
-    q = np.empty((active.size, bank.base), dtype=np.float64)
-    dr = np.empty(active.size, dtype=np.float64)
-    dd = np.empty(active.size, dtype=np.float64)
-    step = max(1, _BLOCK_ENTRIES // width)
-    for a in range(0, active.size, step):
-        b = a + step
-        q[a:b], dr[a:b], dd[a:b] = _alg_rows(windows[first[a:b]], bank.base)
-    return _assemble(plane, active, q, dr, dd)
+    blocks = bank.row_blocks(active, state.lo[active], width)
+    return _assemble(plane, active, *_branch_tables(bank.base, active.size, blocks))
 
 
 def plane_priorities_naive(bank: ModelBank, state: IntervalState,
@@ -175,14 +174,7 @@ def plane_priorities_naive(bank: ModelBank, state: IntervalState,
     """Reference implementation: one element at a time, same kernels."""
     active = _active_rows(state, plane)
     width = bank.base ** (bank.l_max - plane)
-    q = np.empty((active.size, bank.base), dtype=np.float64)
-    dr = np.empty(active.size, dtype=np.float64)
-    dd = np.empty(active.size, dtype=np.float64)
-    for row, i in enumerate(active):
-        s0 = bank.starts[i] + state.lo[i]
-        p_i = bank.masses_flat[s0:s0 + width][None, :]
-        q_i, dr_i, dd_i = _alg_rows(p_i, bank.base)
-        q[row] = q_i[0]
-        dr[row] = dr_i[0]
-        dd[row] = dd_i[0]
-    return _assemble(plane, active, q, dr, dd)
+    lo = state.lo[active]
+    blocks = ((slice(r, r + 1), p) for r in range(active.size)
+              for _, p in bank.row_blocks(active[r:r + 1], lo[r:r + 1], width))
+    return _assemble(plane, active, *_branch_tables(bank.base, active.size, blocks))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import _canonicalize
 from .formats import Shape
-from .gaussian import SIGMA_MIN, ElementModel, build_model_bank
+from .gaussian import SIGMA_MAX, SIGMA_MIN, ElementModel, build_model_bank
 
 __all__ = ["SynthConfig", "generate", "mc_distortion_oracle"]
 
@@ -47,6 +47,8 @@ class SynthConfig:
             raise ValueError(f"sigma_lo below the modeling floor {SIGMA_MIN}")
         if self.sigma_hi < self.sigma_lo:
             raise ValueError("sigma_hi must be at least sigma_lo")
+        if self.sigma_hi > SIGMA_MAX:
+            raise ValueError(f"sigma_hi above the modeling ceiling {SIGMA_MAX:g}")
 
 
 def generate(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:

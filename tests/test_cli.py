@@ -75,6 +75,15 @@ class TestEncodeDecode:
         # without scales the stream is undecodable: data error
         assert run_cli("decode", stream, recon).returncode == 2
 
+    def test_mode1_decode_rejects_a_sigma_file(self, lten_path, tmp_path):
+        src, _ = lten_path
+        stream = str(tmp_path / "out1.dpts")
+        recon = str(tmp_path / "rec1.lflt")
+        run_cli("encode", src, stream, "--sigma-mode", "1")
+        r = run_cli("decode", stream, recon, "--sigma", src)
+        assert r.returncode == 2
+        assert "embeds its scales" in r.stderr
+
 
 class TestRdCurve:
     def test_csv_shape_and_determinism(self, lten_path, tmp_path):

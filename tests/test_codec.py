@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tritstream.codec as codec_module
 from conftest import interval_moments_oracle
@@ -20,7 +20,7 @@ from tritstream.codec import (
 )
 from tritstream.errors import CorruptionError, FormatError, TritstreamError
 from tritstream.formats import Shape, pack_stream_header, parse_stream_header, stream_header_size
-from tritstream.gaussian import build_element_model, build_model_bank, interval_exponent
+from tritstream.gaussian import SIGMA_MAX, build_element_model, build_model_bank, interval_exponent
 from tritstream.synth import SynthConfig, generate
 
 D0_SIGMA1_BASE3 = 1.083333322361118  # mpmath oracle, see test_synth
@@ -185,6 +185,12 @@ class TestDecodeErrors:
         with pytest.raises(ValueError):
             decode(stream, sigmas=s.ravel()[:-1])
 
+    def test_mode1_rejects_out_of_band_scales(self):
+        v, s = _synth((2, 2, 2), seed=41)
+        stream = encode(v, s, sigma_mode=1)
+        with pytest.raises(ValueError, match="embeds its scales"):
+            decode(stream, sigmas=s)
+
     def test_mode0_wrong_scales_detected_by_plane_count(self):
         v = np.zeros((2, 2, 2), dtype=np.int64)
         s = np.ones((2, 2, 2), dtype=np.float32)
@@ -219,38 +225,86 @@ class TestDecodeErrors:
             with pytest.raises(FormatError, match="scales"):
                 decode(stream)
 
+    @staticmethod
+    def _forbid_model_sizing(monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a forged scale reached the model layer")
+
+        monkeypatch.setattr(codec_module, "build_model_bank", refuse)
+        monkeypatch.setattr(codec_module, "interval_exponent", refuse)
+
     @pytest.mark.parametrize("scale", [3e38, 1e9])
     def test_forged_large_scale_fails_before_the_model_build(self, scale, monkeypatch):
         # Unchecked, 1e9 asks for a 3**22-entry mass table (234 GiB).
-        def no_build(*_):
-            raise AssertionError("model bank built for a forged scale")
-
         forged = self._with_scale(self._two_element_stream(), scale)
-        monkeypatch.setattr(codec_module, "build_model_bank", no_build)
-        with pytest.raises(CorruptionError, match="plane count"):
+        self._forbid_model_sizing(monkeypatch)
+        with pytest.raises(FormatError, match="SIGMA_MAX"):
             decode(forged)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_out_of_band_scale_errors(self):
+    def test_forged_stream_with_a_matching_plane_count_is_format_error(self, monkeypatch):
+        # Scales (1e9, 1) with the 22 trit planes 1e9 needs: 117 bytes that
+        # would otherwise ask for a 234 GiB mass table.
+        stream = pack_stream_header(3, 1, Shape(1, 1, 2), 22, np.zeros(22, np.uint32),
+                                    np.asarray([1e9, 1.0], dtype="<f4"))
+        assert len(stream) == 117 and interval_exponent(1e9, 3) == 22
+        self._forbid_model_sizing(monkeypatch)
+        with pytest.raises(FormatError):
+            decode(stream)
+
+    def test_out_of_band_scale_errors(self, monkeypatch):
         v, s = _synth((2, 2, 2), seed=43)
         stream = encode(v, s, sigma_mode=0)
+        self._forbid_model_sizing(monkeypatch)
         bad = s.astype(np.float64)
-        bad.flat[3] = np.nan
-        with pytest.raises(ValueError):
-            decode(stream, sigmas=bad)
-        bad.flat[3] = 1e308     # finite, but its interval overflows
-        with pytest.raises(CorruptionError, match="plane count"):
-            decode(stream, sigmas=bad)
+        for scale in (np.nan, np.inf, 1e308, np.nextafter(SIGMA_MAX, np.inf)):
+            bad.flat[3] = scale
+            with pytest.raises(ValueError, match="SIGMA_MAX"):
+                decode(stream, sigmas=bad)
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_plane_count_matching_a_huge_scale_is_rejected(self, base):
-        # l_max agrees with the forged scale, but base**l_max overflows int64.
+        # l_max agrees with the forged scale, but exceeds SIGMA_MAX's.
         l_max = interval_exponent(3e38, base)
         sig = np.asarray([3e38, 1.0], dtype="<f4")
         stream = pack_stream_header(base, 1, Shape(1, 1, 2), l_max,
                                     np.zeros(l_max, np.uint32), sig)
-        with pytest.raises(FormatError, match="int64"):
+        with pytest.raises(FormatError, match="SIGMA_MAX"):
             decode(stream)
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_scale_at_the_ceiling_round_trips(self, base):
+        rng = np.random.default_rng(base)
+        s = np.asarray([[[SIGMA_MAX, SIGMA_MAX, 1.0, SIGMA_MAX]]], dtype=np.float32)
+        v = np.rint(rng.normal(0.0, 1.0, s.shape) * s).astype(np.int64)
+        for mode in (0, 1):
+            stream = encode(v, s, base=base, sigma_mode=mode)
+            assert parse_stream_header(stream).l_max == interval_exponent(SIGMA_MAX, base)
+            rec = decode(stream, sigmas=s if mode == 0 else None)
+            assert rec.exact and np.array_equal(rec.values, v)
+        with pytest.raises(ValueError, match="SIGMA_MAX"):
+            encode(v, np.nextafter(s, np.float32(np.inf)), base=base, sigma_mode=1)
+
+    @given(base=st.sampled_from([2, 3]), count=st.integers(1, 4), data=st.data())
+    @settings(max_examples=150, deadline=2000,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_crafted_headers_fail_only_with_tritstream_errors(self, base, count, data):
+        # Any float32 bit pattern, with the patterns of 0.05 .. SIGMA_MAX
+        # drawn often enough that headers reach the plane walk.
+        bits = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(0x3D4CCCCD, 0x47000000))
+        sig = np.asarray(data.draw(st.lists(bits, min_size=count, max_size=count),
+                                   label="scale bits"), dtype="<u4").view("<f4")
+        planes = st.integers(1, 255)
+        if np.all(np.isfinite(sig)) and 0.0 < sig.min() and sig.max() <= SIGMA_MAX:
+            planes = st.one_of(planes, st.just(interval_exponent(float(sig.max()), base)))
+        l_max = data.draw(planes, label="l_max")
+        lengths = data.draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=l_max,
+                                     max_size=l_max), label="directory")
+        stream = pack_stream_header(base, 1, Shape(1, 1, count), l_max,
+                                    np.asarray(lengths), sig)
+        try:
+            decode(stream + data.draw(st.binary(max_size=64), label="payload"))
+        except TritstreamError:
+            pass
 
     def test_corrupt_payload_detected(self):
         v, s = _synth((4, 8, 12), seed=11)
@@ -394,9 +448,11 @@ class TestModelBankCache:
         except TritstreamError:
             pass
         except ValueError as exc:
-            # Mode 0 documents a ValueError when the stream's dimensions
-            # disagree with the out-of-band scales.
-            if sigma_mode != 0 or "scale count" not in str(exc):
+            # decode documents a ValueError when the scales argument does not
+            # fit the stream: a mode-0 stream whose dimensions disagree with
+            # them, or a damaged mode byte that flips the stream's mode.
+            if not any(m in str(exc) for m in ("scale count", "embeds its scales",
+                                                "needs out-of-band")):
                 raise
         if codec_module._last_bank is not None:
             (key_base, key_sig), bank = codec_module._last_bank

@@ -89,15 +89,17 @@ class TestStreamHeader:
         with pytest.raises(FormatError):
             parse_stream_header(mutate(_header_bytes()))
 
-    @pytest.mark.parametrize("base,l_max", [(2, 63), (3, 40), (3, 83)])
+    @pytest.mark.parametrize("base,l_max", [(2, 63), (3, 40), (3, 83), (2, 20), (3, 13)])
     def test_rejects_plane_counts_beyond_int64(self, base, l_max):
+        # Plane counts beyond those of a scale at SIGMA_MAX, which include
+        # every count whose interval length overflows int64.
         data = _header_bytes(base=base, l_max=l_max)
-        with pytest.raises(FormatError, match="int64"):
+        with pytest.raises(FormatError, match="SIGMA_MAX"):
             parse_stream_header(data)
 
-    def test_largest_int64_plane_counts_parse(self):
-        assert parse_stream_header(_header_bytes(base=2, l_max=62)).l_max == 62
-        assert parse_stream_header(_header_bytes(base=3, l_max=39)).l_max == 39
+    def test_largest_plane_counts_parse(self):
+        assert parse_stream_header(_header_bytes(base=2, l_max=19)).l_max == 19
+        assert parse_stream_header(_header_bytes(base=3, l_max=12)).l_max == 12
 
     def test_rejects_truncation_inside_sigma_block(self):
         data = _header_bytes(sigma_mode=1)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tritstream.gaussian as gaussian
 from conftest import bin_mass, phi
 from tritstream.gaussian import (
+    SIGMA_MAX,
     SIGMA_MIN,
     TAIL_EPSILON,
     _TAIL_Z,
@@ -150,7 +152,37 @@ class TestModelBank:
         ([2e17] * 3, 3),        # L = 39 each fits, the three together do not
         ([1e308], 2),           # 2 * sigma * z overflows to inf
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rejects_models_beyond_int64(self, sigmas, base):
-        with pytest.raises(ValueError, match="int64"):
+        # The scale ceiling rejects these long before int64 would overflow.
+        with pytest.raises(ValueError, match="SIGMA_MAX"):
             build_model_bank(np.asarray(sigmas, dtype=np.float64), base)
+
+    @pytest.mark.parametrize("base,planes", [(2, 19), (3, 12)])
+    def test_scale_ceiling(self, base, planes):
+        bank = build_model_bank(np.asarray([SIGMA_MAX, 1.0]), base)
+        assert bank.l_max == interval_exponent(SIGMA_MAX, base) == planes
+        assert bank.lengths[0] == base ** planes
+        with pytest.raises(ValueError, match="SIGMA_MAX"):
+            build_model_bank(np.asarray([np.nextafter(SIGMA_MAX, np.inf)]), base)
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_row_blocks_gather_the_element_masses(self, base, monkeypatch):
+        monkeypatch.setattr(gaussian, "_GATHER_ENTRIES", 20)
+        bank = build_model_bank(np.asarray([0.3, 4.0, 1.5, 9.0, 2.5]), base)
+        ids = np.asarray([3, 1, 4, 3])
+        width = base ** 2
+        lo = np.asarray([0, 1, width, bank.lengths[3] - width])
+        covered = []
+        for k, rows in bank.row_blocks(ids, lo, width):
+            assert rows.flags.c_contiguous and rows.shape[0] == len(ids[k])
+            covered += range(ids.size)[k]
+            for r, i, a in zip(rows, ids[k], lo[k]):
+                assert np.array_equal(r, bank.element_masses(i)[a:a + width])
+        assert covered == list(range(ids.size))
+
+    def test_freeze_makes_every_array_read_only(self):
+        bank = build_model_bank(np.asarray([0.3, 4.0]), 3)
+        bank.freeze()
+        for arr in (bank.sigmas, bank.exponents, bank.offsets, bank.lengths,
+                    bank.starts, bank.masses_flat):
+            assert not arr.flags.writeable

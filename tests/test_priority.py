@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import tritstream.codec as codec
 import tritstream.gaussian as gaussian
 import tritstream.priority as priority
 from conftest import digit_planes, entropy_bits, interval_moments_oracle
@@ -302,25 +301,22 @@ class TestPlanePriorities:
 
 
 class TestBlocks:
-    """The bounded blocks of the model build, the priorities and the interval
-    moments change no bit."""
+    """The bounded blocks of the model build and of the row gathers behind
+    the priorities and the interval moments change no bit."""
 
     @staticmethod
-    def _walk(sig, base, monkeypatch, bank_block, prio_block, moment_block):
+    def _walk(sig, base, monkeypatch, bank_block, gather_block):
         monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", bank_block)
-        monkeypatch.setattr(priority, "_BLOCK_ENTRIES", prio_block)
-        monkeypatch.setattr(codec, "_BLOCK_ENTRIES", moment_block)
+        monkeypatch.setattr(gaussian, "_GATHER_ENTRIES", gather_block)
         seen = []
         assemble = priority._assemble
 
-        def spy(plane, active, q, dr, dd):
-            seen.append((q.copy(), dr.copy(), dd.copy()))
-            return assemble(plane, active, q, dr, dd)
+        def spy(plane, active, tables, dr, dd):
+            seen.append((tables.copy(), dr.copy(), dd.copy()))
+            return assemble(plane, active, tables, dr, dd)
 
         def moments(state):
-            ids = np.arange(bank.size)
-            return codec._interval_moments(bank, ids, state.lo, state.widths(),
-                                           state.applied == 0)
+            return bank.moments(np.arange(bank.size), state.lo, state.widths())
 
         monkeypatch.setattr(priority, "_assemble", spy)
         bank = build_model_bank(sig, base)
@@ -340,11 +336,11 @@ class TestBlocks:
     def test_tiny_blocks_match_one_block(self, base, monkeypatch):
         rng = np.random.default_rng(base)
         sig = np.exp(rng.uniform(np.log(0.05), np.log(9.0), size=301))
-        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40, 1 << 40)
-        # 50, 40 and 30 entries: many blocks per exponent group, per plane
-        # and per width group, single-row blocks for the widest rows, and a
+        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40)
+        # 50 and 30 entries: many blocks per exponent group, per plane and
+        # per width group, single-row blocks for the widest rows, and a
         # ragged last block.
-        flat, blocked = self._walk(sig, base, monkeypatch, 50, 40, 30)
+        flat, blocked = self._walk(sig, base, monkeypatch, 50, 30)
         assert np.array_equal(flat, one_flat)
         assert len(blocked) == len(one)
         for got, want in zip(blocked, one):
@@ -356,6 +352,6 @@ class TestBlocks:
 def test_zero_entropy_uncertain_row_is_corruption():
     # Two nonzero bins but no entropy cannot come from a real model; a
     # stripped assert must not let it through under python -O.
-    q = np.asarray([[0.5, 0.5]])
+    tables = quantize_pmf_rows(np.asarray([[0.5, 0.5]]))
     with pytest.raises(CorruptionError):
-        _assemble(0, np.asarray([0]), q, np.asarray([0.0]), np.asarray([-1.0]))
+        _assemble(0, np.asarray([0]), tables, np.asarray([0.0]), np.asarray([-1.0]))

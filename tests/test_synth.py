@@ -49,6 +49,7 @@ class TestGenerate:
     @pytest.mark.parametrize("kwargs", [
         dict(zero_weight=-0.1), dict(zero_weight=1.5),
         dict(sigma_lo=0.01), dict(sigma_lo=2.0, sigma_hi=1.0),
+        dict(sigma_hi=40000.0),
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -167,7 +167,7 @@ def _plane_digits(bank: ModelBank, state: IntervalState, pr, j: np.ndarray, n: i
     lo = state.lo[ids]
     digs = (np.clip(j[ids], lo, lo + bank.base * sub - 1) - lo) // sub
     rows = np.arange(ids.size)
-    bad = np.flatnonzero(tabs[rows, digs] == 0)
+    bad = (tabs[rows, digs] == 0).nonzero()[0]
     if bad.size:
         dist = np.where(tabs[bad] > 0,
                         np.abs(np.arange(bank.base) - digs[bad, None]),
@@ -178,14 +178,14 @@ def _plane_digits(bank: ModelBank, state: IntervalState, pr, j: np.ndarray, n: i
 
 def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
                     trace_group: int | None):
+    if trace_group is not None and trace_group < 1:
+        raise ValueError("trace group must be positive")
     shape, sig32, bank = _prepare(values, sigmas, base, sigma_mode)
     j = values.ravel().astype(np.int64) - bank.offsets
     header_size = stream_header_size(shape, sigma_mode, bank.l_max)
 
     points = None
     if trace_group is not None:
-        if trace_group < 1:
-            raise ValueError("trace group must be positive")
         _, v_track = bank.moments(np.arange(bank.size),
                                   np.zeros(bank.size, dtype=np.int64), bank.lengths)
         points = [(8.0 * header_size, float(v_track.mean()))]

@@ -10,13 +10,13 @@ and costs zero bytes.
 The coder is a carry-less byte-oriented range coder on 32-bit unsigned
 arithmetic (Python ints, masked).  The encoder is the RangeEncoder class, one
 encode() call per digit.  The decoder is decode_digits alone: one loop over
-the digits with the coder state in locals, reading one flat list of
-cumulative frequencies built from only the rows it may need.  It can run on a
-truncated byte prefix: it tracks how many bytes past the end it has consumed
-as zero fill and reports a digit only when every byte string consistent with
-the missing suffix decodes to that same digit.  Decoding therefore never
-invents a wrong digit, and feeding more bytes only extends the digit sequence
-already produced.
+the digits with the coder state in locals, reading flat lists of cumulative
+frequencies built a bounded chunk of rows at a time, only for the rows it
+reaches.  It can run on a truncated byte prefix: it tracks how many bytes
+past the end it has consumed as zero fill and reports a digit only when
+every byte string consistent with the missing suffix decodes to that same
+digit.  Decoding therefore never invents a wrong digit, and feeding more
+bytes only extends the digit sequence already produced.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ _TOP = 1 << 24
 _BOT = 1 << 16
 _M32 = (1 << 32) - 1
 
+# Rows of cumulative frequencies decode_digits turns into one Python list at
+# a time; a list entry costs about 36 bytes where a table entry costs 4.
+_CUM_ROWS = 1 << 12
+
 
 def quantize_pmf_rows(rows: np.ndarray) -> np.ndarray:
     """Quantize each PMF row to uint32 frequencies summing to TABLE_TOTAL.
@@ -57,7 +61,7 @@ def quantize_pmf_rows(rows: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-d array of PMF rows, got ndim={rows.ndim}")
     kept = np.where(rows >= MASS_FLOOR, rows, 0.0)
     totals = kept.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0.0):
+    if (totals <= 0.0).any():
         raise ValueError("a PMF row lost all its mass to the floor")
     # kept turns into the scaled masses and then their fractional parts.
     kept /= totals
@@ -143,12 +147,7 @@ def decode_digits(data: bytes, tables, count: int) -> DecodeResult:
     tables = np.asarray(tables, dtype=np.uint32)
     if tables.ndim != 2 or tables.shape[0] < count:
         raise ValueError("one frequency table per expected digit is required")
-    # Row i of the cumulative table starts at cums[i * stride]; symbol s of
-    # that row spans [cums[row + s], cums[row + s + 1]).
     stride = tables.shape[1] + 1
-    cum_rows = np.zeros((count, stride), dtype=np.int64)
-    np.cumsum(tables[:count], axis=1, out=cum_rows[:, 1:])
-    cums = cum_rows.ravel().tolist()
     size = len(data)
     code = pad = 0
     for k in range(4):
@@ -160,58 +159,67 @@ def decode_digits(data: bytes, tables, count: int) -> DecodeResult:
     low, rng, pos = 0, _M32, 4
     out = bytearray()
     exhausted = False
-    row = 0
-    for _ in range(count):
-        r = rng // TABLE_TOTAL
-        off = (code - low) & _M32
-        if pad == 0:
-            if off >= rng:
-                raise CorruptionError("code point outside the coding range")
-            t = off // r
-            if t >= TABLE_TOTAL:
-                t = TABLE_TOTAL - 1
-            s = row
-            while cums[s + 1] <= t:
-                s += 1
-        else:
-            delta = (1 << (8 * pad)) - 1 if pad < 4 else _M32
-            if off >= rng or off + delta > _M32:
-                exhausted = True
-                break
-            hi = off + delta
-            if hi >= rng:
-                hi = rng - 1
-            t = off // r
-            t_hi = hi // r
-            if t >= TABLE_TOTAL:
-                t = TABLE_TOTAL - 1
-            if t_hi >= TABLE_TOTAL:
-                t_hi = TABLE_TOTAL - 1
-            s = row
-            while cums[s + 1] <= t:
-                s += 1
-            if cums[s + 1] <= t_hi:
-                exhausted = True
-                break
-        c = cums[s]
-        low = (low + r * c) & _M32
-        rng = r * (cums[s + 1] - c)
-        out.append(s - row)
-        row += stride
-        while True:
-            if (low ^ (low + rng)) < _TOP:
-                pass
-            elif rng < _BOT:
-                rng = (-low) & (_BOT - 1)
+    for first in range(0, count, _CUM_ROWS):
+        rows = min(_CUM_ROWS, count - first)
+        # Row i of the chunk's cumulative table starts at cums[i * stride];
+        # symbol s of that row spans [cums[row + s], cums[row + s + 1]).
+        cum_rows = np.zeros((rows, stride), dtype=np.int64)
+        np.cumsum(tables[first:first + rows], axis=1, out=cum_rows[:, 1:])
+        cums = cum_rows.ravel().tolist()
+        row = 0
+        for _ in range(rows):
+            r = rng // TABLE_TOTAL
+            off = (code - low) & _M32
+            if pad == 0:
+                if off >= rng:
+                    raise CorruptionError("code point outside the coding range")
+                t = off // r
+                if t >= TABLE_TOTAL:
+                    t = TABLE_TOTAL - 1
+                s = row
+                while cums[s + 1] <= t:
+                    s += 1
             else:
-                break
-            low = (low << 8) & _M32
-            rng = (rng << 8) & _M32
-            if pos < size:
-                code = ((code << 8) | data[pos]) & _M32
-            else:
-                code = (code << 8) & _M32
-                pad += 1
-            pos += 1
+                delta = (1 << (8 * pad)) - 1 if pad < 4 else _M32
+                if off >= rng or off + delta > _M32:
+                    exhausted = True
+                    break
+                hi = off + delta
+                if hi >= rng:
+                    hi = rng - 1
+                t = off // r
+                t_hi = hi // r
+                if t >= TABLE_TOTAL:
+                    t = TABLE_TOTAL - 1
+                if t_hi >= TABLE_TOTAL:
+                    t_hi = TABLE_TOTAL - 1
+                s = row
+                while cums[s + 1] <= t:
+                    s += 1
+                if cums[s + 1] <= t_hi:
+                    exhausted = True
+                    break
+            c = cums[s]
+            low = (low + r * c) & _M32
+            rng = r * (cums[s + 1] - c)
+            out.append(s - row)
+            row += stride
+            while True:
+                if (low ^ (low + rng)) < _TOP:
+                    pass
+                elif rng < _BOT:
+                    rng = (-low) & (_BOT - 1)
+                else:
+                    break
+                low = (low << 8) & _M32
+                rng = (rng << 8) & _M32
+                if pos < size:
+                    code = ((code << 8) | data[pos]) & _M32
+                else:
+                    code = (code << 8) & _M32
+                    pad += 1
+                pos += 1
+        if exhausted:
+            break
     return DecodeResult(digits=np.frombuffer(out, dtype=np.uint8),
                         consumed=min(pos, size), exhausted=exhausted)

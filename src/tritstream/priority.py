@@ -18,9 +18,9 @@ plane_priorities_vectorized and plane_priorities_naive must produce
 bit-identical results.  Both read their mass rows through
 ModelBank.row_blocks and call the same row reductions, row_sum and
 split_row_sum, and the same quantizer on them; the naive path just asks for
-one element at a time.  numpy reduces each row independently of how many
-rows sit in the batch, so the per-row results, and hence the final
-ordering, cannot drift between the paths.
+one element at a time, and never looks statistics up.  numpy reduces each
+row independently of how many rows sit in the batch, so the per-row
+results, and hence the final ordering, cannot drift between the paths.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _alg_rows(p: np.ndarray, base: int):
     """
     w = p.shape[1]
     sub = w // base
-    y = np.tile(np.arange(sub, dtype=np.float64), base)
+    y = np.arange(w, dtype=np.float64) % sub
     t = row_sum(p)
     s = split_row_sum(p, base)
     sy = split_row_sum(p * y, base)
@@ -121,18 +121,35 @@ def _branch_tables(base: int, n: int, blocks):
     return tables, dr, dd
 
 
+def _descending(prio: np.ndarray) -> np.ndarray:
+    """Positions of prio in decreasing order, equal values by position.
+
+    The same order as a stable argsort of -prio: an unstable sort puts equal
+    values side by side, and only those runs are then ordered by position.
+    """
+    order = np.argsort(-prio, kind="quicksort")
+    key = prio[order]
+    tie = key[1:] == key[:-1]
+    if tie.any():
+        run = np.concatenate(([0], np.cumsum(~tie)))
+        at = np.flatnonzero(np.concatenate((tie, [False])) | np.concatenate(([False], tie)))
+        n = order.size
+        order[at] = np.sort(run[at] * n + order[at]) % n
+    return order
+
+
 def _assemble(plane: int, active: np.ndarray, tables: np.ndarray,
               dr: np.ndarray, dd: np.ndarray) -> PlanePriorities:
     certain_mask = (tables > 0).sum(axis=1) == 1
     certain = active[certain_mask]
     forced = tables.argmax(axis=1)[certain_mask].astype(np.uint8)
-    rows = np.flatnonzero(~certain_mask)
+    rows = (~certain_mask).nonzero()[0]
     u_dr = dr[rows]
     u_dd = dd[rows]
-    if not np.all(u_dr > 0.0):
+    if not (u_dr > 0.0).all():
         raise CorruptionError("uncertain digit with zero entropy")
     prio = -u_dd / u_dr
-    coded = rows[np.argsort(-prio, kind="stable")]
+    coded = rows[_descending(prio)]
     return PlanePriorities(
         plane=plane,
         active=active,
@@ -150,7 +167,7 @@ def _assemble(plane: int, active: np.ndarray, tables: np.ndarray,
 def _active_rows(state: IntervalState, plane: int) -> np.ndarray:
     active = state.active_ids(plane)
     expected = plane - (state.l_max - state.exponents[active])
-    if np.any(state.applied[active] != expected):
+    if (state.applied[active] != expected).any():
         raise ValueError(f"interval state is not positioned at plane {plane}")
     return active
 
@@ -161,12 +178,14 @@ def plane_priorities_vectorized(bank: ModelBank, state: IntervalState,
 
     Rows are reduced and quantized in the bounded blocks of
     ModelBank.row_blocks, so temporaries stay bounded whatever the plane
-    size; rows reduce independently, so the blocks change no result.
+    size.  ModelBank.plane_statistics looks up the rows of elements at
+    their first own plane on a frozen bank.  Rows reduce independently, so
+    neither the blocks nor the lookup change a result.
     """
     active = _active_rows(state, plane)
-    width = bank.base ** (bank.l_max - plane)
-    blocks = bank.row_blocks(active, state.lo[active], width)
-    return _assemble(plane, active, *_branch_tables(bank.base, active.size, blocks))
+    stats = bank.plane_statistics(active, state.lo[active], plane,
+                                  lambda n, blocks: _branch_tables(bank.base, n, blocks))
+    return _assemble(plane, active, *stats)
 
 
 def plane_priorities_naive(bank: ModelBank, state: IntervalState,

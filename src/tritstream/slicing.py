@@ -53,13 +53,13 @@ class IntervalState:
 
     def active_ids(self, plane: int) -> np.ndarray:
         """Elements whose own digits include plane `plane`."""
-        return np.flatnonzero(self.l_max - self.exponents <= plane)
+        return (self.l_max - self.exponents <= plane).nonzero()[0]
 
     def apply_plane_digits(self, plane: int, ids: np.ndarray, digits: np.ndarray) -> None:
         """Shrink the listed elements' intervals by their digits at `plane`."""
-        if np.any(self.applied[ids] != plane - (self.l_max - self.exponents[ids])):
+        if (self.applied[ids] != plane - (self.l_max - self.exponents[ids])).any():
             raise ValueError("elements are not positioned at this plane")
-        if np.any(np.asarray(digits) >= self.base):
+        if (np.asarray(digits) >= self.base).any():
             raise ValueError("digit out of range for the base")
         sub = self.base ** (self.l_max - plane - 1)
         self.lo[ids] += np.asarray(digits, dtype=np.int64) * sub

@@ -413,6 +413,40 @@ class TestModelBankCache:
             assert np.array_equal(warm.digits_applied, cold.digits_applied)
             assert warm.exact == cold.exact
 
+    def test_outputs_do_not_alias_the_kept_statistics(self, monkeypatch):
+        v, s = _synth((4, 5, 6), seed=11)
+        res = encode_result(v, s, base=3)
+        prefix = truncate(res.stream, res.header_size + (len(res.stream) - res.header_size) // 3)
+        seen = []
+        impl = PRIORITY_IMPLS["vectorized"]
+
+        def spy(bank, state, plane):
+            seen.append(impl(bank, state, plane))
+            return seen[-1]
+
+        monkeypatch.setitem(PRIORITY_IMPLS, "vectorized", spy)
+        first = decode(prefix)
+        want = first.values.copy()
+        assert len(seen) > 1
+        for pr in seen:
+            pr.tables[:] = 0
+            pr.delta_r[:] = 0.0
+            pr.delta_d[:] = 0.0
+        first.values[:] = 1e9
+        again = decode(prefix)
+        assert np.array_equal(again.values, want)
+        codec_module._last_bank = None
+        assert np.array_equal(decode(prefix).values, want)
+
+    def test_warm_rd_trace_equals_cold(self):
+        v, s = _synth((4, 5, 6), seed=12)
+        for base in (2, 3):
+            codec_module._last_bank = None
+            cold, stream = rd_trace(v, s, base=base, group=8)
+            warm, again = rd_trace(v, s, base=base, group=8)
+            assert again == stream
+            assert np.array_equal(warm, cold)
+
     def test_cached_bank_is_read_only(self):
         v, s = _synth((2, 3, 4), seed=9)
         encode(v, s)
@@ -497,6 +531,20 @@ class TestRdTrace:
         v, s = _synth((1, 2, 2), seed=9)
         with pytest.raises(ValueError):
             rd_trace(v, s, group=0)
+
+    def test_bad_group_fails_before_the_model_build(self, monkeypatch):
+        v, s = _synth((1, 2, 2), seed=9)
+        encode(v, s, base=2)
+        cached = codec_module._last_bank
+
+        def fail(*_):
+            raise AssertionError("a model bank was built")
+
+        monkeypatch.setattr(codec_module, "build_model_bank", fail)
+        for group in (0, -3):
+            with pytest.raises(ValueError, match="trace group"):
+                rd_trace(v, s, group=group)
+        assert codec_module._last_bank is cached
 
 
 class TestAllZeroTensors:

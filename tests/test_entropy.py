@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import tritstream.entropy as entropy
 from conftest import entropy_bits, range_encode
 from tritstream.errors import CorruptionError
 from tritstream.entropy import MASS_FLOOR, TABLE_TOTAL, decode_digits, quantize_pmf_rows
@@ -254,3 +255,23 @@ class TestPrefixDecoding:
         digits = _sample_digits(tables, seed + 5)
         chunk = range_encode(digits, tables)
         self._assert_prefix_property(chunk, tables, digits, step=1)
+
+
+class TestCumulativeChunks:
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_chunked_decode_equals_one_chunk(self, base, rows, monkeypatch):
+        # Truncated prefixes stop inside a chunk, at a chunk's end, and in
+        # the pad bytes; every digit count crosses many chunk boundaries.
+        tables = _skewed_tables(60, base, seed=30 + base)
+        digits = _sample_digits(tables, 31)
+        chunk = range_encode(digits, tables)
+        want = [decode_digits(chunk[:end], tables, digits.size)
+                for end in range(len(chunk) + 1)]
+        monkeypatch.setattr(entropy, "_CUM_ROWS", rows)
+        for end, ref in enumerate(want):
+            got = decode_digits(chunk[:end], tables, digits.size)
+            assert np.array_equal(got.digits, ref.digits)
+            assert (got.consumed, got.exhausted) == (ref.consumed, ref.exhausted)
+        assert want[-1].digits.size == digits.size
+        assert 0 < want[len(chunk) // 2].digits.size < digits.size

@@ -1,9 +1,10 @@
 """The mass-row layout of ModelBank stays inside gaussian.
 
-codec and priority read mass rows only through ModelBank.row_blocks and
-ModelBank.moments.  This test fails when either reads the flat buffer, the
-element starts or the strided window helper, or defines its own block
-budget, so a new model layout changes one module.
+codec and priority read mass rows only through ModelBank.row_blocks,
+ModelBank.plane_statistics and ModelBank.moments.  This test fails when
+either reads the flat buffer, the element starts, the strided window helper
+or the bank's kept root statistics, or defines its own block budget, so a
+new model layout changes one module.
 """
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tritstream"
-LAYOUT_NAMES = {"masses_flat", "starts", "_windows"}
+LAYOUT_NAMES = {"masses_flat", "starts", "_windows", "_root_rows", "_root_moments"}
 
 
 def _layout_reads(tree):
@@ -49,7 +50,7 @@ def test_the_guard_sees_what_it_forbids():
     tree = ast.parse("from .gaussian import _windows\n"
                      "_BLOCK_ENTRIES = 1 << 16\n"
                      "def f(bank, i):\n"
-                     "    return bank.masses_flat[bank.starts[i]]\n")
+                     "    return bank.masses_flat[bank.starts[i]] + bank._root_moments[0, i]\n")
     assert sorted(name for _, name in _layout_reads(tree)) == [
-        "_windows", "masses_flat", "starts"]
+        "_root_moments", "_windows", "masses_flat", "starts"]
     assert list(_block_constants(tree)) == [(2, "_BLOCK_ENTRIES")]

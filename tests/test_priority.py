@@ -14,6 +14,7 @@ from tritstream.gaussian import build_model_bank
 from tritstream.priority import (
     _alg_rows,
     _assemble,
+    _descending,
     plane_priorities_naive,
     plane_priorities_vectorized,
     row_sum,
@@ -298,6 +299,151 @@ class TestPlanePriorities:
         b = plane_priorities_vectorized(bank, s2, 0)
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.tables, b.tables)
+
+
+class TestDescending:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300, 2.0, 3.5]), max_size=80),
+           st.lists(st.floats(0.0, 10.0), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_stable_argsort(self, tied, spread):
+        # Repeated values, zeros of both signs and long runs force ties.
+        prio = np.asarray(tied + spread, dtype=np.float64)
+        order = _descending(prio)
+        assert np.array_equal(order, np.argsort(-prio, kind="stable"))
+
+    def test_repeated_scales_tie_at_every_plane(self):
+        sig = np.tile([0.3, 1.7, 4.0, 0.9], 50)
+        bank = _bank(sig, 3)
+        vals = bank.offsets + np.random.default_rng(4).integers(0, bank.lengths)
+        digits = digit_planes(vals, bank)
+        state = IntervalState.initial(bank)
+        for n in range(bank.l_max):
+            pr = plane_priorities_vectorized(bank, state, n)
+            prio = -pr.delta_d / pr.delta_r
+            want = pr.uncertain[np.argsort(-prio, kind="stable")]
+            assert np.array_equal(pr.order, want)
+            ids = state.active_ids(n)
+            state.apply_plane_digits(n, ids, digits[n, ids])
+
+
+class TestRootStatistics:
+    """A frozen bank keeps the statistics of every element's first own plane
+    and of its unrefined interval; later walks look them up."""
+
+    @staticmethod
+    def _walk(bank, seed, visit):
+        vals = bank.offsets + np.random.default_rng(seed).integers(0, bank.lengths)
+        digits = digit_planes(vals, bank)
+        state = IntervalState.initial(bank)
+        for n in range(bank.l_max):
+            visit(n, state)
+            ids = state.active_ids(n)
+            state.apply_plane_digits(n, ids, digits[n, ids])
+
+    @staticmethod
+    def _scales(seed, n=90):
+        rng = np.random.default_rng(seed)
+        sig = np.exp(rng.uniform(np.log(0.05), np.log(9.0), size=n))
+        sig[::7] = sig[1]      # shared scales tie
+        return sig
+
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_second_walk_equals_naive(self, base):
+        bank = _bank(self._scales(base), base)
+        bank.freeze()
+        self._walk(bank, 1, lambda n, st: plane_priorities_vectorized(bank, st, n))
+
+        def compare(n, state):
+            a = plane_priorities_vectorized(bank, state, n)
+            b = plane_priorities_naive(bank, state, n)
+            for name in vars(a):
+                x, y = getattr(a, name), getattr(b, name)
+                assert np.array_equal(x, y), (n, name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype, (n, name)
+
+        self._walk(bank, 2, compare)
+
+    @staticmethod
+    def _count_quantized(monkeypatch):
+        counted = []
+        quantize = priority.quantize_pmf_rows
+
+        def spy(q):
+            counted.append(q.shape[0])
+            return quantize(q)
+
+        monkeypatch.setattr(priority, "quantize_pmf_rows", spy)
+        return counted
+
+    def test_warm_walk_quantizes_only_refined_rows(self, monkeypatch):
+        bank = _bank(self._scales(5), 3)
+        bank.freeze()
+        counted = self._count_quantized(monkeypatch)
+        per_plane = []
+
+        def visit(n, state):
+            counted.clear()
+            plane_priorities_vectorized(bank, state, n)
+            per_plane.append(sum(counted))
+
+        self._walk(bank, 3, visit)
+        active = [int(np.count_nonzero(bank.exponents >= bank.l_max - n))
+                  for n in range(bank.l_max)]
+        assert per_plane == active
+        per_plane.clear()
+        self._walk(bank, 4, visit)
+        refined = [int(np.count_nonzero(bank.exponents > bank.l_max - n))
+                   for n in range(bank.l_max)]
+        assert per_plane == refined
+        assert refined[0] == 0 and sum(refined) < sum(active)
+
+    def test_writeable_bank_keeps_nothing(self, monkeypatch):
+        bank = _bank(self._scales(6), 2)
+        counted = self._count_quantized(monkeypatch)
+        walk = lambda n, st: plane_priorities_vectorized(bank, st, n)  # noqa: E731
+        self._walk(bank, 1, walk)
+        cold = sum(counted)
+        counted.clear()
+        self._walk(bank, 2, walk)
+        assert sum(counted) == cold
+        gathered = []
+        row_blocks = gaussian.ModelBank.row_blocks
+
+        def spy(self, ids, lo, width):
+            gathered.append(ids.size)
+            return row_blocks(self, ids, lo, width)
+
+        monkeypatch.setattr(gaussian.ModelBank, "row_blocks", spy)
+        ids = np.arange(bank.size)
+        for _ in range(2):
+            bank.moments(ids, np.zeros(bank.size, dtype=np.int64), bank.lengths)
+        assert sum(gathered) == 2 * bank.size
+
+    def test_frozen_moments_equal_writeable_ones(self):
+        sig = self._scales(7)
+        for base in (2, 3):
+            ref = _bank(sig, base)
+            bank = _bank(sig, base)
+            bank.freeze()
+            rng = np.random.default_rng(base)
+            for _ in range(4):
+                state, _ = _random_state(bank, rng)
+                ids = np.flatnonzero(rng.random(bank.size) < 0.7)
+                args = (ids, state.lo[ids], state.widths()[ids])
+                got, want = bank.moments(*args), ref.moments(*args)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+
+    def test_a_warm_plane_rejects_other_ids(self):
+        bank = _bank(self._scales(8), 3)
+        bank.freeze()
+        state = IntervalState.initial(bank)
+        plane_priorities_vectorized(bank, state, 0)
+        ids = state.active_ids(0)[1:]
+        with pytest.raises(ValueError, match="active at plane 0"):
+            bank.plane_statistics(ids, state.lo[ids], 0,
+                                  lambda n, blocks: priority._branch_tables(3, n, blocks))
 
 
 class TestBlocks:

@@ -117,10 +117,10 @@ def _model_bank(bank_sig: np.ndarray, base: int) -> ModelBank:
     """The model bank of float64 scales bank_sig, reusing the last one built.
 
     A progressive receiver decodes one stream at several prefixes under the
-    same scales, so one entry is enough.  A miss drops the old bank before
-    building, so two banks are never alive at once.  The cached arrays are
-    read-only: every caller shares them.  The entry is replaced in one
-    assignment, so it always pairs a key with that key's bank.
+    same scales, so one entry is enough, and its later calls look up the
+    root statistics the bank kept.  A miss drops the old bank before
+    building, so two banks are never alive at once.  The entry is replaced
+    in one assignment, so it always pairs a key with that key's bank.
     """
     global _last_bank
     key = (base, bank_sig.tobytes())
@@ -129,7 +129,6 @@ def _model_bank(bank_sig: np.ndarray, base: int) -> ModelBank:
         return last[1]
     last = _last_bank = None
     bank = build_model_bank(bank_sig, base)
-    bank.freeze()
     _last_bank = (key, bank)
     return bank
 
@@ -181,7 +180,7 @@ def _encode_session(values, sigmas, base: int, sigma_mode: int, priority_fn,
     if trace_group is not None and trace_group < 1:
         raise ValueError("trace group must be positive")
     shape, sig32, bank = _prepare(values, sigmas, base, sigma_mode)
-    j = values.ravel().astype(np.int64) - bank.offsets
+    j = _positions(values, bank)
     header_size = stream_header_size(shape, sigma_mode, bank.l_max)
 
     points = None
@@ -292,8 +291,21 @@ def canonicalize(values, sigmas, base: int = 3, sigma_mode: int = 1) -> np.ndarr
     return _canonicalize(values, bank)
 
 
+def _positions(values: np.ndarray, bank: ModelBank) -> np.ndarray:
+    """Each value's position in its element's interval, saturated into it.
+
+    Values are clamped before they are rebased, so none wraps in int64.
+    """
+    v = values.ravel()
+    top = bank.offsets + (bank.lengths - 1)
+    if v.dtype == np.uint64:
+        # Every top is positive; uint64 with int64 would promote to float64.
+        v = np.minimum(v, np.uint64(top.max()))
+    return np.clip(v.astype(np.int64), bank.offsets, top) - bank.offsets
+
+
 def _canonicalize(values, bank: ModelBank) -> np.ndarray:
-    j = values.ravel().astype(np.int64) - bank.offsets
+    j = _positions(values, bank)
     state = _walk_planes(bank, plane_priorities_vectorized, bank.l_max,
                          lambda n, pr, st: _plane_digits(bank, st, pr, j, n)[0])
     return (bank.offsets + state.lo).reshape(values.shape)

@@ -17,6 +17,8 @@ tail, so far-out bins keep small positive float64 values instead of rounding
 to zero.  Bins m and -m are bit-identical, which ModelBank.moments uses to
 reconstruct exact means.  Only ModelBank knows how the masses are laid out;
 other layers read them through its row_blocks, plane_statistics and moments.
+A bank is read-only once built, so it keeps the statistics of each element's
+unrefined interval and looks them up on later calls.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ SIGMA_MIN = 0.05
 # 4 MiB per element.
 SIGMA_MAX = 32768.0
 
-# Mass entries build_model_bank computes at once, and mass entries one block
-# of ModelBank.row_blocks gathers; a block always holds at least one row.
-_BLOCK_ENTRIES = 1 << 18
-_GATHER_ENTRIES = 1 << 16
+# Mass entries one block of build_model_bank computes, and of
+# ModelBank.row_blocks gathers; a block always holds at least one row.
+_BLOCK_ENTRIES = 1 << 16
 
 # One-sided z covering 1 - TAIL_EPSILON of the standard normal.  Evaluated
 # at the small-p end; 1 - TAIL_EPSILON itself is 7 ulps wide near 1.0.
@@ -109,17 +110,15 @@ def _bin_masses(sig_col: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
-def _windows(flat: np.ndarray, width: int, writeable: bool = False) -> np.ndarray:
+def _windows(flat: np.ndarray, width: int) -> np.ndarray:
     """A (flat.size - width + 1, width) view whose row k is flat[k:k + width].
 
-    Indexing its first axis with an array of starts gathers (or, writeable,
-    scatters) one row per start without an (n, width) index array.
+    Indexing its first axis with an array of starts gathers (or, while flat
+    is writeable, scatters) one row per start without an (n, width) index
+    array.
     """
     step = flat.strides[0]
-    view = np.ndarray((flat.size - width + 1, width), flat.dtype, flat, 0, (step, step))
-    if not writeable:
-        view.flags.writeable = False
-    return view
+    return np.ndarray((flat.size - width + 1, width), flat.dtype, flat, 0, (step, step))
 
 
 @dataclass(frozen=True)
@@ -156,11 +155,12 @@ class ModelBank:
     l_max is the largest exponent; elements with a smaller exponent only
     participate in the trailing planes of the digit pyramid.
 
-    A frozen bank also keeps root statistics: those of each element's
-    unrefined interval, which depend on its model alone.  They are the
-    per-row statistics plane_statistics computes at the element's first own
-    plane (l_max - exponent, where its interval starts at 0), and the mean
-    and variance moments computes for the whole interval.  Each is computed
+    Every array of a bank is read-only from its construction on, so the
+    bank can keep root statistics: those of each element's unrefined
+    interval, which depend on its model alone.  They are the per-row
+    statistics plane_statistics computes at the element's first own plane
+    (l_max - exponent, where its interval starts at 0), and the mean and
+    variance moments computes for the whole interval.  Each is computed
     once, when a call first needs it, and later calls look it up.  For trits
     they cost at most 44 bytes per element (a 3-entry uint32 table and four
     float64), for bits 40.  Nothing a method returns aliases them.
@@ -174,40 +174,34 @@ class ModelBank:
     starts: np.ndarray     # offsets into masses_flat
     masses_flat: np.ndarray
     l_max: int
-    # Root statistics of a frozen bank, None while it is writeable:
-    # plane -> read-only arrays over the elements whose first own plane it
-    # is, ascending; and (2, size) root means and variances.  A NaN mean
-    # marks moments not yet computed; moments writes the variance first, so
-    # a mean once set always has its variance.
-    _root_rows: dict | None = field(default=None, init=False, repr=False, compare=False)
+    # Root statistics: plane -> read-only arrays over the elements whose
+    # first own plane it is, ascending; and (2, size) root means and
+    # variances, allocated when moments first needs them (encode and
+    # canonicalize never do).  A NaN mean marks moments not yet computed; moments writes the
+    # variance first, so a mean once set always has its variance.
+    _root_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _root_moments: np.ndarray | None = field(default=None, init=False, repr=False,
                                              compare=False)
+
+    def __post_init__(self) -> None:
+        for a in (self.sigmas, self.exponents, self.offsets, self.lengths,
+                  self.starts, self.masses_flat):
+            a.flags.writeable = False
 
     @property
     def size(self) -> int:
         return self.sigmas.size
-
-    def freeze(self) -> None:
-        """Make every array of the bank read-only, for a bank callers share.
-
-        From then on the bank keeps its root statistics.
-        """
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray) and not name.startswith("_"):
-                value.flags.writeable = False
-        if self._root_rows is None:
-            self._root_rows = {}
 
     def row_blocks(self, ids: np.ndarray, lo: np.ndarray, width: int):
         """Mass rows of elements ids over [lo, lo + width), a block at a time.
 
         Yields (k, rows) for consecutive slices k of ids; rows[r] is element
         ids[k][r]'s masses from interval position lo[k][r] on, C-contiguous.
-        A block gathers about _GATHER_ENTRIES entries.
+        A block gathers about _BLOCK_ENTRIES entries.
         """
         first = self.starts[ids] + lo
         windows = _windows(self.masses_flat, width)
-        step = max(1, _GATHER_ENTRIES // width)
+        step = max(1, _BLOCK_ENTRIES // width)
         for a in range(0, first.size, step):
             k = slice(a, a + step)
             yield k, windows[first[k]]
@@ -218,14 +212,12 @@ class ModelBank:
         ids must be every element active at plane, ascending, and lo their
         interval starts.  reduce computes each row alone: it takes a row
         count n and (k, rows) blocks, row rows[r] belonging to output row
-        k[r], and returns arrays of n rows.  On a frozen bank the first call
-        for a plane reduces every row and keeps the rows of the elements
-        whose first own plane it is; later calls hand reduce only the other
-        rows, or skip it when none is left, and fill in the kept rows.
+        k[r], and returns arrays of n rows.  The first call for a plane
+        reduces every row and keeps the rows of the elements whose first own
+        plane it is; later calls hand reduce only the other rows, or skip it
+        when none is left, and fill in the kept rows.
         """
         width = self.base ** (self.l_max - plane)
-        if self._root_rows is None:
-            return reduce(ids.size, self.row_blocks(ids, lo, width))
         root = self.exponents[ids] == self.l_max - plane
         kept = self._root_rows.get(plane)
         if kept is None:
@@ -254,14 +246,14 @@ class ModelBank:
         mean 0.0, and in a whole even-width interval (widths[k] is the
         element's length) only the unpaired top member's share survives,
         which summing in member order would bury under cancellation noise.
-        A frozen bank computes the moments of a whole interval once.
+        The moments of a whole interval are computed once per bank.
         """
         left = self.offsets[ids] + lo
         fresh = widths == self.lengths[ids]
         e = np.empty(ids.size, dtype=np.float64)
         v = np.empty(ids.size, dtype=np.float64)
-        new = None
-        if self._root_rows is not None and fresh.any():
+        new = fresh
+        if fresh.any():
             if self._root_moments is None:
                 self._root_moments = np.full((2, self.size), np.nan)
             known = self._root_moments[:, ids]
@@ -297,7 +289,7 @@ class ModelBank:
                 np.maximum(var, 0.0, out=var)
                 e[rows] = mean
                 v[rows] = var
-        if new is not None and new.any():
+        if new.any():
             self._root_moments[1, ids[new]] = v[new]
             self._root_moments[0, ids[new]] = e[new]
         return e, v
@@ -317,10 +309,10 @@ class ModelBank:
 
 
 def build_model_bank(sigmas, base: int) -> ModelBank:
-    """Build models for every element of a scale tensor.
+    """Build the read-only models of every element of a scale tensor.
 
     Scales must be positive and at most SIGMA_MAX; values below SIGMA_MIN
-    are clamped.
+    are clamped.  Each call builds a new bank.
     """
     if base not in (2, 3):
         raise ValueError(f"base must be 2 or 3, got {base}")
@@ -345,7 +337,7 @@ def build_model_bank(sigmas, base: int) -> ModelBank:
     for ell in np.flatnonzero(np.bincount(exponents)).tolist():
         members = np.flatnonzero(exponents == ell)
         w = base ** ell
-        win = _windows(flat, w, writeable=True)
+        win = _windows(flat, w)
         step = max(1, _BLOCK_ENTRIES // w)
         for a in range(0, members.size, step):
             blk = members[a:a + step]

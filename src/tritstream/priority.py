@@ -179,8 +179,8 @@ def plane_priorities_vectorized(bank: ModelBank, state: IntervalState,
     Rows are reduced and quantized in the bounded blocks of
     ModelBank.row_blocks, so temporaries stay bounded whatever the plane
     size.  ModelBank.plane_statistics looks up the rows of elements at
-    their first own plane on a frozen bank.  Rows reduce independently, so
-    neither the blocks nor the lookup change a result.
+    their first own plane after a walk has reduced them.  Rows reduce
+    independently, so neither the blocks nor the lookup change a result.
     """
     active = _active_rows(state, plane)
     stats = bank.plane_statistics(active, state.lo[active], plane,

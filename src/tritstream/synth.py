@@ -43,12 +43,9 @@ class SynthConfig:
             object.__setattr__(self, "shape", Shape(*self.shape))
         if not 0.0 <= self.zero_weight <= 1.0:
             raise ValueError("zero_weight must lie in [0, 1]")
-        if self.sigma_lo < SIGMA_MIN:
-            raise ValueError(f"sigma_lo below the modeling floor {SIGMA_MIN}")
-        if self.sigma_hi < self.sigma_lo:
-            raise ValueError("sigma_hi must be at least sigma_lo")
-        if self.sigma_hi > SIGMA_MAX:
-            raise ValueError(f"sigma_hi above the modeling ceiling {SIGMA_MAX:g}")
+        # Written so that a NaN scale fails every comparison.
+        if not SIGMA_MIN <= self.sigma_lo <= self.sigma_hi <= SIGMA_MAX:
+            raise ValueError(f"need {SIGMA_MIN} <= sigma_lo <= sigma_hi <= {SIGMA_MAX:g}")
 
 
 def generate(config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,7 @@ class TestEncodeDecode:
         r = run_cli("decode", stream, recon)
         assert r.returncode == 0
         assert r.stdout.startswith("mse ")
-        got = read_lflt(open(recon, "rb").read())
+        got = read_lflt(Path(recon).read_bytes())
         assert np.array_equal(got, values.astype(np.float32))
 
     def test_encode_deterministic(self, lten_path, tmp_path):
@@ -49,7 +49,7 @@ class TestEncodeDecode:
         a, b = str(tmp_path / "a.dpts"), str(tmp_path / "b.dpts")
         assert run_cli("encode", src, a).returncode == 0
         assert run_cli("encode", src, b).returncode == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_budget_decode(self, lten_path, tmp_path):
         src, _ = lten_path
@@ -57,7 +57,7 @@ class TestEncodeDecode:
         recon = str(tmp_path / "rec.lflt")
         run_cli("encode", src, stream)
         size = os.path.getsize(stream)
-        header = parse_stream_header(open(stream, "rb").read()).header_size
+        header = parse_stream_header(Path(stream).read_bytes()).header_size
         r = run_cli("decode", stream, recon, "--budget", str((header + size) // 2))
         assert r.returncode == 0
         mse = float(r.stdout.split()[1])
@@ -70,7 +70,7 @@ class TestEncodeDecode:
         run_cli("encode", src, stream, "--sigma-mode", "0")
         r = run_cli("decode", stream, recon, "--sigma", src)
         assert r.returncode == 0
-        got = read_lflt(open(recon, "rb").read())
+        got = read_lflt(Path(recon).read_bytes())
         assert np.array_equal(got, values.astype(np.float32))
         # without scales the stream is undecodable: data error
         assert run_cli("decode", stream, recon).returncode == 2
@@ -91,7 +91,7 @@ class TestRdCurve:
         out = str(tmp_path / "curve.csv")
         r = run_cli("rd-curve", src, out, "--group", "32")
         assert r.returncode == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "base,cumulative_bits,mse"
         rows = [ln.split(",") for ln in lines[1:]]
         assert {row[0] for row in rows} == {"2", "3"}
@@ -103,7 +103,7 @@ class TestRdCurve:
             assert mses[-1] == 0.0
         out2 = str(tmp_path / "curve2.csv")
         run_cli("rd-curve", src, out2, "--group", "32")
-        assert open(out).read() == open(out2).read()
+        assert Path(out).read_text() == Path(out2).read_text()
 
     def test_bad_bases_flag(self, lten_path, tmp_path):
         src, _ = lten_path

@@ -72,6 +72,23 @@ class TestRoundTrip:
         out = canonicalize(v, s, base=3)[0, 0, 0]
         assert out == 4  # clamp to 13, then the same tail snap applies
 
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("x,dtype,end", [
+        (np.iinfo(np.int64).min, np.int64, 0),
+        (np.iinfo(np.int64).max, np.int64, -1),
+        (np.iinfo(np.uint64).max, np.uint64, -1),
+    ])
+    def test_integer_limits_saturate_to_the_interval_ends(self, base, x, dtype, end):
+        s = np.ones((1, 1, 1), dtype=np.float32)
+        bank = build_model_bank(s, base)
+        edge = bank.offsets[0] + np.asarray([0, bank.lengths[0] - 1])[end]
+        v = np.full((1, 1, 1), x, dtype=dtype)
+        want = canonicalize(np.full((1, 1, 1), edge), s, base=base)
+        assert np.array_equal(canonicalize(v, s, base=base), want)
+        assert np.array_equal(decode(encode(v, s, base=base)).values, want)
+        if base == 3:
+            assert want[0, 0, 0] == (-4 if end == 0 else 4)
+
     def test_input_validation(self):
         s = np.ones((1, 1, 2), dtype=np.float32)
         with pytest.raises(ValueError):
@@ -453,9 +470,9 @@ class TestModelBankCache:
         _, bank = codec_module._last_bank
         with pytest.raises(ValueError, match="read-only"):
             bank.masses_flat[0] = 0.5
-        # gaussian's builder stays uncached and writeable.
+        # gaussian's builder stays uncached, and its banks are read-only too.
         fresh = build_model_bank(bank.sigmas, bank.base)
-        assert fresh is not bank and fresh.masses_flat.flags.writeable
+        assert fresh is not bank and not fresh.masses_flat.flags.writeable
 
     @staticmethod
     @functools.lru_cache(maxsize=None)

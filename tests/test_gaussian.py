@@ -167,7 +167,7 @@ class TestModelBank:
 
     @pytest.mark.parametrize("base", [2, 3])
     def test_row_blocks_gather_the_element_masses(self, base, monkeypatch):
-        monkeypatch.setattr(gaussian, "_GATHER_ENTRIES", 20)
+        monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", 20)
         bank = build_model_bank(np.asarray([0.3, 4.0, 1.5, 9.0, 2.5]), base)
         ids = np.asarray([3, 1, 4, 3])
         width = base ** 2
@@ -180,9 +180,8 @@ class TestModelBank:
                 assert np.array_equal(r, bank.element_masses(i)[a:a + width])
         assert covered == list(range(ids.size))
 
-    def test_freeze_makes_every_array_read_only(self):
+    def test_built_bank_makes_every_array_read_only(self):
         bank = build_model_bank(np.asarray([0.3, 4.0]), 3)
-        bank.freeze()
         for arr in (bank.sigmas, bank.exponents, bank.offsets, bank.lengths,
                     bank.starts, bank.masses_flat):
             assert not arr.flags.writeable

@@ -327,8 +327,8 @@ class TestDescending:
 
 
 class TestRootStatistics:
-    """A frozen bank keeps the statistics of every element's first own plane
-    and of its unrefined interval; later walks look them up."""
+    """A bank keeps the statistics of every element's first own plane and
+    of its unrefined interval; later walks look them up."""
 
     @staticmethod
     def _walk(bank, seed, visit):
@@ -350,7 +350,6 @@ class TestRootStatistics:
     @pytest.mark.parametrize("base", [2, 3])
     def test_second_walk_equals_naive(self, base):
         bank = _bank(self._scales(base), base)
-        bank.freeze()
         self._walk(bank, 1, lambda n, st: plane_priorities_vectorized(bank, st, n))
 
         def compare(n, state):
@@ -378,7 +377,6 @@ class TestRootStatistics:
 
     def test_warm_walk_quantizes_only_refined_rows(self, monkeypatch):
         bank = _bank(self._scales(5), 3)
-        bank.freeze()
         counted = self._count_quantized(monkeypatch)
         per_plane = []
 
@@ -398,15 +396,15 @@ class TestRootStatistics:
         assert per_plane == refined
         assert refined[0] == 0 and sum(refined) < sum(active)
 
-    def test_writeable_bank_keeps_nothing(self, monkeypatch):
+    def test_built_bank_keeps_its_root_statistics(self, monkeypatch):
         bank = _bank(self._scales(6), 2)
         counted = self._count_quantized(monkeypatch)
         walk = lambda n, st: plane_priorities_vectorized(bank, st, n)  # noqa: E731
         self._walk(bank, 1, walk)
-        cold = sum(counted)
         counted.clear()
         self._walk(bank, 2, walk)
-        assert sum(counted) == cold
+        assert sum(counted) == sum(int(np.count_nonzero(bank.exponents > bank.l_max - n))
+                                   for n in range(bank.l_max))
         gathered = []
         row_blocks = gaussian.ModelBank.row_blocks
 
@@ -416,28 +414,28 @@ class TestRootStatistics:
 
         monkeypatch.setattr(gaussian.ModelBank, "row_blocks", spy)
         ids = np.arange(bank.size)
-        for _ in range(2):
-            bank.moments(ids, np.zeros(bank.size, dtype=np.int64), bank.lengths)
-        assert sum(gathered) == 2 * bank.size
+        bank.moments(ids, np.zeros(bank.size, dtype=np.int64), bank.lengths)
+        assert sum(gathered) == bank.size
+        gathered.clear()
+        bank.moments(ids, np.zeros(bank.size, dtype=np.int64), bank.lengths)
+        assert gathered == []
 
-    def test_frozen_moments_equal_writeable_ones(self):
+    def test_looked_up_moments_equal_computed_ones(self):
         sig = self._scales(7)
         for base in (2, 3):
-            ref = _bank(sig, base)
             bank = _bank(sig, base)
-            bank.freeze()
             rng = np.random.default_rng(base)
             for _ in range(4):
                 state, _ = _random_state(bank, rng)
                 ids = np.flatnonzero(rng.random(bank.size) < 0.7)
                 args = (ids, state.lo[ids], state.widths()[ids])
-                got, want = bank.moments(*args), ref.moments(*args)
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
+                want = _bank(sig, base).moments(*args)
+                for got in (bank.moments(*args), bank.moments(*args)):
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(got[1], want[1])
 
     def test_a_warm_plane_rejects_other_ids(self):
         bank = _bank(self._scales(8), 3)
-        bank.freeze()
         state = IntervalState.initial(bank)
         plane_priorities_vectorized(bank, state, 0)
         ids = state.active_ids(0)[1:]
@@ -451,9 +449,8 @@ class TestBlocks:
     the priorities and the interval moments change no bit."""
 
     @staticmethod
-    def _walk(sig, base, monkeypatch, bank_block, gather_block):
-        monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", bank_block)
-        monkeypatch.setattr(gaussian, "_GATHER_ENTRIES", gather_block)
+    def _walk(sig, base, monkeypatch, block):
+        monkeypatch.setattr(gaussian, "_BLOCK_ENTRIES", block)
         seen = []
         assemble = priority._assemble
 
@@ -482,11 +479,11 @@ class TestBlocks:
     def test_tiny_blocks_match_one_block(self, base, monkeypatch):
         rng = np.random.default_rng(base)
         sig = np.exp(rng.uniform(np.log(0.05), np.log(9.0), size=301))
-        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40, 1 << 40)
-        # 50 and 30 entries: many blocks per exponent group, per plane and
-        # per width group, single-row blocks for the widest rows, and a
-        # ragged last block.
-        flat, blocked = self._walk(sig, base, monkeypatch, 50, 30)
+        one_flat, one = self._walk(sig, base, monkeypatch, 1 << 40)
+        # 30 entries: many blocks per exponent group, per plane and per
+        # width group, single-row blocks for the widest rows, and a ragged
+        # last block.
+        flat, blocked = self._walk(sig, base, monkeypatch, 30)
         assert np.array_equal(flat, one_flat)
         assert len(blocked) == len(one)
         for got, want in zip(blocked, one):
